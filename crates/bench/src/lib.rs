@@ -257,12 +257,35 @@ pub fn measure_tri_speed(wb: &Workbench, kernel: &Kernel, repeats: u32) -> TriSp
     }
 }
 
-/// The repository's `docs/` directory, where every experiment table and
-/// benchmark artifact belongs (resolved from this crate's manifest, so
-/// it does not depend on the invocation directory).
+/// The `docs/` directory of the workspace being run, where every
+/// experiment table and benchmark artifact belongs.
+///
+/// The workspace is the nearest ancestor of the working directory, else
+/// of the running executable, that holds this repository's root manifest
+/// and `crates/bench`. So a binary run inside a copy of the tree writes
+/// the copy's reports, and running from a subdirectory still finds the
+/// root. Only a binary run from outside every checkout falls back to the
+/// tree it was compiled in.
 #[must_use]
 pub fn docs_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs")
+    let exe = std::env::current_exe().ok();
+    std::env::current_dir()
+        .ok()
+        .iter()
+        .chain(exe.iter())
+        .find_map(|start| workspace_docs(start))
+        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs"))
+}
+
+/// `docs/` under the nearest ancestor of `start` (itself included) that
+/// is the workspace root, if any.
+fn workspace_docs(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            dir.join("Cargo.toml").is_file() && dir.join("crates/bench/Cargo.toml").is_file()
+        })
+        .map(|root| root.join("docs"))
 }
 
 /// Prints an experiment report to stdout **and** writes it to
@@ -296,6 +319,28 @@ pub fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn docs_resolve_from_the_running_workspace() {
+        let root = std::env::temp_dir().join(format!("lisa-bench-docs-{}", std::process::id()));
+        let deep = root.join("crates/bench/src/bin");
+        std::fs::create_dir_all(&deep).unwrap();
+        std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
+        std::fs::write(root.join("crates/bench/Cargo.toml"), "[package]\n").unwrap();
+        assert_eq!(workspace_docs(&root), Some(root.join("docs")));
+        assert_eq!(workspace_docs(&deep), Some(root.join("docs")));
+        // A nested workspace of its own (like `perfbench/`) is not the root.
+        std::fs::create_dir_all(root.join("perfbench")).unwrap();
+        std::fs::write(root.join("perfbench/Cargo.toml"), "[workspace]\n").unwrap();
+        assert_eq!(workspace_docs(&root.join("perfbench")), Some(root.join("docs")));
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(workspace_docs(&deep), None);
+
+        // Tests run in this crate's directory, inside the checkout.
+        let here = std::env::current_dir().unwrap();
+        let checkout = here.ancestors().nth(2).unwrap();
+        assert_eq!(docs_dir(), checkout.join("docs"));
+    }
 
     #[test]
     fn stats_rows_cover_all_models() {

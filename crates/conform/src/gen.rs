@@ -92,7 +92,7 @@ impl<'w> ProgramGen<'w> {
     /// no discoverable halt instruction.
     pub fn new(wb: &'w Workbench) -> Result<ProgramGen<'w>, GenError> {
         let model = wb.model();
-        let decoder = Decoder::new(model).map_err(|e| GenError::Workbench(e.to_string()))?;
+        let decoder = wb.decoder().map_err(|e| GenError::Workbench(e.to_string()))?;
         let instructions = instruction_ops(model, decoder.root());
         if instructions.is_empty() {
             return Err(GenError::NoInstructions);

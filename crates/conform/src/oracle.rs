@@ -560,6 +560,7 @@ fn batch_parity(
     let origin = mem.dims.first().map_or(0, |d| d.base());
 
     let sc = Scenario::new("conform", wb.model(), SimMode::Compiled)
+        .with_prepared(std::sync::Arc::clone(wb.prepared()))
         .program(wb.program_memory(), origin, image.to_vec())
         .halt_on(wb.halt_flag())
         .steps(max_cycles);

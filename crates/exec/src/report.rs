@@ -15,8 +15,8 @@ pub struct JobResult {
     pub cycles: u64,
     /// Final simulator statistics.
     pub stats: SimStats,
-    /// FNV-1a fingerprint of the final architectural state, for cheap
-    /// cross-run and cross-backend comparisons.
+    /// [`lisa_sim::State::digest`] of the final architectural state, for
+    /// cheap cross-run and cross-backend comparisons within one build.
     pub state_digest: u64,
     /// Per-job execution profile, when the scenario asked for one
     /// ([`crate::Scenario::profiled`]).

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use lisa_bits::Bits;
 use lisa_core::Model;
-use lisa_sim::{SimMode, Simulator, Snapshot};
+use lisa_sim::{Prepared, SimMode, Simulator, Snapshot};
 
 use crate::report::JobResult;
 
@@ -98,6 +98,9 @@ pub struct Scenario<'m> {
     /// Collect a per-instruction [`lisa_trace::Profile`] for this job
     /// (adds per-event aggregation overhead to the run).
     pub profile: bool,
+    /// The model's shared simulator tables; `None` prepares them afresh
+    /// for this job.
+    pub prepared: Option<Arc<Prepared>>,
 }
 
 impl std::fmt::Debug for Scenario<'_> {
@@ -129,6 +132,7 @@ impl<'m> Scenario<'m> {
             max_steps: 10_000,
             base: None,
             profile: false,
+            prepared: None,
         }
     }
 
@@ -187,6 +191,14 @@ impl<'m> Scenario<'m> {
         self.profile = profile;
         self
     }
+
+    /// Builds the job's simulator over `prepared`, which must have been
+    /// prepared from this scenario's model.
+    #[must_use]
+    pub fn with_prepared(mut self, prepared: Arc<Prepared>) -> Self {
+        self.prepared = Some(prepared);
+        self
+    }
 }
 
 /// Runs one scenario to completion: build a simulator, restore the base
@@ -219,7 +231,11 @@ pub fn run_scenario_with(
     let started = std::time::Instant::now();
     let setup = |e: lisa_sim::SimError| JobError::Setup(e.to_string());
 
-    let mut sim = Simulator::new(sc.model, sc.mode).map_err(setup)?;
+    let mut sim = match &sc.prepared {
+        Some(prepared) => Simulator::with_prepared(sc.model, Arc::clone(prepared), sc.mode),
+        None => Simulator::new(sc.model, sc.mode),
+    }
+    .map_err(setup)?;
     sim.set_spans(spans.cloned());
     if let Some(base) = &sc.base {
         sim.restore(base).map_err(setup)?;

@@ -15,27 +15,28 @@ use lisa_core::model::{CodingTarget, Model, OpId};
 
 use crate::{Decoded, IsaError};
 
-/// A decoder generated from a model database.
+/// The owned part of a generated decoder: the decode root and the group
+/// trial orders.
 ///
-/// Construction precomputes group trial orders (the "decoder generation"
-/// step whose cost experiment E2 measures); [`Decoder::decode`] then
-/// matches instruction words starting at the model's decode root.
-#[derive(Debug, Clone)]
-pub struct Decoder<'m> {
-    model: &'m Model,
+/// Building these is the "decoder generation" step whose cost experiment
+/// E2 measures. They hold no borrow of the model, so they can be built
+/// once per model and shared (behind an [`Arc`]) by every [`Decoder`]
+/// over it.
+#[derive(Debug)]
+pub struct DecoderTables {
     /// Trial order for each (operation, group) pair.
     group_order: HashMap<(OpId, usize), Vec<OpId>>,
     root: OpId,
 }
 
-impl<'m> Decoder<'m> {
-    /// Builds a decoder for the model.
+impl DecoderTables {
+    /// Precomputes the decode root and every group's trial order.
     ///
     /// # Errors
     ///
     /// Returns [`IsaError::NoDecodeRoot`] if the model has no operation
     /// with a root compare in its coding.
-    pub fn new(model: &'m Model) -> Result<Self, IsaError> {
+    pub fn new(model: &Model) -> Result<Self, IsaError> {
         let root = *model.decode_roots().first().ok_or(IsaError::NoDecodeRoot)?;
         let mut group_order = HashMap::new();
         for op in model.operations() {
@@ -57,7 +58,38 @@ impl<'m> Decoder<'m> {
                 group_order.insert((op.id, gidx), order);
             }
         }
-        Ok(Decoder { model, group_order, root })
+        Ok(DecoderTables { group_order, root })
+    }
+}
+
+/// A decoder generated from a model database.
+///
+/// [`Decoder::new`] builds its [`DecoderTables`]; [`Decoder::with_tables`]
+/// reuses tables already built for the same model. [`Decoder::decode`]
+/// then matches instruction words starting at the model's decode root.
+#[derive(Debug, Clone)]
+pub struct Decoder<'m> {
+    model: &'m Model,
+    tables: Arc<DecoderTables>,
+}
+
+impl<'m> Decoder<'m> {
+    /// Builds a decoder for the model.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IsaError::NoDecodeRoot`] if the model has no operation
+    /// with a root compare in its coding.
+    pub fn new(model: &'m Model) -> Result<Self, IsaError> {
+        Ok(Decoder::with_tables(model, Arc::new(DecoderTables::new(model)?)))
+    }
+
+    /// A decoder over tables already built for `model` by
+    /// [`DecoderTables::new`]; costs one reference-count increment.
+    /// Tables built from another model decode wrongly or panic.
+    #[must_use]
+    pub fn with_tables(model: &'m Model, tables: Arc<DecoderTables>) -> Self {
+        Decoder { model, tables }
     }
 
     /// The model this decoder was generated from.
@@ -69,7 +101,7 @@ impl<'m> Decoder<'m> {
     /// The decode-root operation (the top of the coding tree).
     #[must_use]
     pub fn root(&self) -> OpId {
-        self.root
+        self.tables.root
     }
 
     /// The instruction word width expected at the decode root.
@@ -80,7 +112,7 @@ impl<'m> Decoder<'m> {
     /// validation).
     #[must_use]
     pub fn word_width(&self) -> u32 {
-        self.model.operation(self.root).coding_width().expect("decode root has a coding")
+        self.model.operation(self.tables.root).coding_width().expect("decode root has a coding")
     }
 
     /// Decodes an instruction word starting at the decode root.
@@ -89,7 +121,7 @@ impl<'m> Decoder<'m> {
     ///
     /// Returns [`IsaError::NoMatch`] if no coding matches.
     pub fn decode(&self, word: u128) -> Result<Decoded, IsaError> {
-        self.decode_op(self.root, word)
+        self.decode_op(self.tables.root, word)
             .ok_or_else(|| IsaError::NoMatch { word, width: self.word_width() })
     }
 
@@ -138,7 +170,7 @@ impl<'m> Decoder<'m> {
                     // Honour the variant guard: if this variant requires a
                     // specific member for this group, only try that one.
                     let required = variant.guard.iter().find(|(g, _)| g == gidx).map(|(_, m)| *m);
-                    let order = &self.group_order[&(op_id, *gidx)];
+                    let order = &self.tables.group_order[&(op_id, *gidx)];
                     let child = order
                         .iter()
                         .filter(|m| required.is_none_or(|r| r == **m))

@@ -67,5 +67,5 @@ mod error;
 
 pub use asm::Assembler;
 pub use decoded::Decoded;
-pub use decoder::Decoder;
+pub use decoder::{Decoder, DecoderTables};
 pub use error::IsaError;

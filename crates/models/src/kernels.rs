@@ -907,8 +907,9 @@ pub fn scalar_suite() -> Vec<Kernel> {
 
 impl Workbench {
     /// Turns a kernel into a [`lisa_exec::Scenario`] borrowing this
-    /// workbench's model: the assembled program at its origin, the data
-    /// image, the halt flag, the step budget, and the golden checks.
+    /// workbench's model and [`Workbench::prepared`] tables: the
+    /// assembled program at its origin, the data image, the halt flag,
+    /// the step budget, and the golden checks.
     ///
     /// Where [`run_kernel`] runs one kernel inline, scenarios feed
     /// [`lisa_exec::BatchRunner`] to run whole kernel×mode matrices on a
@@ -931,6 +932,7 @@ impl Workbench {
 
         let mut sc =
             lisa_exec::Scenario::new(format!("{}@{mode:?}", kernel.name), self.model(), mode)
+                .with_prepared(std::sync::Arc::clone(self.prepared()))
                 .program(self.program_memory(), program.origin, program.words)
                 .halt_on(self.halt_flag())
                 .steps(kernel.max_steps);

@@ -3,10 +3,11 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use lisa_core::{LisaError, Model};
 use lisa_isa::{Assembler, Decoded, Decoder, IsaError};
-use lisa_sim::{SimError, SimMode, Simulator};
+use lisa_sim::{Prepared, SimError, SimMode, Simulator};
 
 /// An error from building or using a workbench.
 #[derive(Debug)]
@@ -62,7 +63,9 @@ impl From<SimError> for WorkbenchError {
 ///
 /// Owns the [`Model`]; generated tools borrow from it via
 /// [`Workbench::decoder`], [`Workbench::assemble`] and
-/// [`Workbench::simulator`].
+/// [`Workbench::simulator`]. The model's [`Prepared`] tables are built
+/// once, on first use, and shared by every decoder and simulator the
+/// workbench hands out.
 ///
 /// # Examples
 ///
@@ -85,6 +88,7 @@ pub struct Workbench {
     model: Model,
     program_memory: &'static str,
     halt_flag: &'static str,
+    prepared: OnceLock<Arc<Prepared>>,
 }
 
 impl Workbench {
@@ -99,7 +103,12 @@ impl Workbench {
         program_memory: &'static str,
         halt_flag: &'static str,
     ) -> Result<Workbench, WorkbenchError> {
-        Ok(Workbench { model: Model::from_source(source)?, program_memory, halt_flag })
+        Ok(Workbench {
+            model: Model::from_source(source)?,
+            program_memory,
+            halt_flag,
+            prepared: OnceLock::new(),
+        })
     }
 
     /// The model database.
@@ -120,13 +129,19 @@ impl Workbench {
         self.halt_flag
     }
 
-    /// Builds the generated decoder.
+    /// The model's shared simulator tables, built on first call.
+    #[must_use]
+    pub fn prepared(&self) -> &Arc<Prepared> {
+        self.prepared.get_or_init(|| Arc::new(Prepared::new(&self.model)))
+    }
+
+    /// The generated decoder, over the shared tables.
     ///
     /// # Errors
     ///
     /// Returns [`WorkbenchError::Isa`] if the model has no decode root.
     pub fn decoder(&self) -> Result<Decoder<'_>, WorkbenchError> {
-        Ok(Decoder::new(&self.model)?)
+        Ok(self.prepared().decoder(&self.model).ok_or(IsaError::NoDecodeRoot)?)
     }
 
     /// Assembles statements into instruction words.
@@ -167,13 +182,14 @@ impl Workbench {
         Ok(asm.disassemble(&decoded))
     }
 
-    /// Creates a simulator in the given mode.
+    /// Creates a simulator in the given mode, borrowing the shared
+    /// [`Workbench::prepared`] tables.
     ///
     /// # Errors
     ///
     /// Returns [`WorkbenchError::Sim`] when compiled lowering fails.
     pub fn simulator(&self, mode: SimMode) -> Result<Simulator<'_>, WorkbenchError> {
-        Ok(Simulator::new(&self.model, mode)?)
+        Ok(Simulator::with_prepared(&self.model, Arc::clone(self.prepared()), mode)?)
     }
 
     /// Runs a simulator until the model's halt flag becomes nonzero.
@@ -215,5 +231,53 @@ impl Workbench {
         sim.load_program(self.program_memory, &words)?;
         self.run_to_halt(&mut sim, max_steps)?;
         Ok(sim)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use lisa_sim::SimMode;
+
+    use crate::kernels::{run_kernel, tiny_suite};
+    use crate::tinyrisc;
+
+    const MODES: [SimMode; 3] = [SimMode::Interpretive, SimMode::Compiled, SimMode::Ops];
+
+    #[test]
+    fn simulators_and_scenarios_share_one_prepared() {
+        let wb = tinyrisc::workbench().unwrap();
+        let prepared = Arc::clone(wb.prepared());
+        for mode in MODES {
+            let sim = wb.simulator(mode).unwrap();
+            assert!(Arc::ptr_eq(sim.prepared(), &prepared), "{mode:?} simulator");
+        }
+        let kernel = &tiny_suite()[0];
+        for mode in MODES {
+            let sc = wb.scenario(kernel, mode);
+            let shared = sc.prepared.as_ref().expect("workbench scenarios carry the tables");
+            assert!(Arc::ptr_eq(shared, &prepared), "{mode:?} scenario");
+            lisa_exec::run_scenario(&sc).expect("kernel passes its checks");
+        }
+        assert!(Arc::ptr_eq(wb.prepared(), &prepared), "built once");
+    }
+
+    #[test]
+    fn shared_tables_simulate_like_fresh_ones() {
+        let wb = tinyrisc::workbench().unwrap();
+        let fresh = tinyrisc::workbench().unwrap();
+        for kernel in tiny_suite() {
+            for mode in MODES {
+                // Twice over the shared tables: the second simulator
+                // starts from tables the first one finished building.
+                for _ in 0..2 {
+                    let (shared, _) = run_kernel(&wb, &kernel, mode).unwrap();
+                    let (alone, _) = run_kernel(&fresh, &kernel, mode).unwrap();
+                    assert_eq!(shared.state(), alone.state(), "{} {mode:?}", kernel.name);
+                    assert_eq!(shared.stats(), alone.stats(), "{} {mode:?}", kernel.name);
+                }
+            }
+        }
     }
 }

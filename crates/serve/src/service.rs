@@ -19,7 +19,7 @@ use lisa_exec::{BatchObserver, BatchRunner};
 use lisa_metrics::Registry;
 use lisa_models::kernels::full_matrix;
 use lisa_models::{accu16, scalar2, tinyrisc, vliw62, Workbench};
-use lisa_sim::{publish_arch, ArchProfile, ProbeSpec, SimError, SimMode, Simulator, StopReason};
+use lisa_sim::{publish_arch, ArchProfile, ProbeSpec, SimError, SimMode, StopReason};
 use lisa_spans::{export, SpanKind, SpanRecorder, SpanScope};
 
 use crate::api::{
@@ -31,24 +31,28 @@ use crate::http::{Request, Response};
 pub struct ServedModel {
     /// Registry name (`tinyrisc`, `accu16`, `scalar2`, `vliw62`).
     pub name: &'static str,
-    /// The analysed model database.
-    pub model: Model,
     /// Program-memory resource programs load into.
     pub program_memory: &'static str,
     /// Halt-flag resource.
     pub halt_flag: &'static str,
     /// VLIW fetch-packet size, when packet assembly applies.
     pub packet: Option<usize>,
-    /// Conformance workbench for `/v1/fuzz` (its own model instance,
-    /// wired to the same memories and halt flag).
+    /// The analysed model with its shared simulator tables, which every
+    /// `/v1/simulate` run and `/v1/fuzz` request borrows.
     pub workbench: Workbench,
 }
 
 impl ServedModel {
+    /// The analysed model database.
+    #[must_use]
+    pub fn model(&self) -> &Model {
+        self.workbench.model()
+    }
+
     fn assembler(&self) -> Assembler<'_> {
         match self.packet {
-            Some(n) => Assembler::with_packet(&self.model, n, 1),
-            None => Assembler::new(&self.model),
+            Some(n) => Assembler::with_packet(self.model(), n, 1),
+            None => Assembler::new(self.model()),
         }
     }
 }
@@ -98,7 +102,6 @@ impl AppState {
         let models = vec![
             ServedModel {
                 name: "tinyrisc",
-                model: Model::from_source(tinyrisc::SOURCE).expect("tinyrisc builds"),
                 program_memory: "pmem",
                 halt_flag: "halt",
                 packet: None,
@@ -106,7 +109,6 @@ impl AppState {
             },
             ServedModel {
                 name: "accu16",
-                model: Model::from_source(accu16::SOURCE).expect("accu16 builds"),
                 program_memory: "prog_mem",
                 halt_flag: "halt",
                 packet: None,
@@ -114,7 +116,6 @@ impl AppState {
             },
             ServedModel {
                 name: "scalar2",
-                model: Model::from_source(scalar2::SOURCE).expect("scalar2 builds"),
                 program_memory: "pmem",
                 halt_flag: "halt",
                 packet: None,
@@ -122,7 +123,6 @@ impl AppState {
             },
             ServedModel {
                 name: "vliw62",
-                model: Model::from_source(vliw62::SOURCE).expect("vliw62 builds"),
                 program_memory: "pmem",
                 halt_flag: "halt",
                 packet: Some(vliw62::FETCH_PACKET),
@@ -339,8 +339,8 @@ impl AppState {
                 "{{\"name\": \"{}\", \"operations\": {}, \"resources\": {}, \
                  \"program_memory\": \"{}\", \"halt_flag\": \"{}\"}}",
                 m.name,
-                m.model.operations().len(),
-                m.model.resources().len(),
+                m.model().operations().len(),
+                m.model().resources().len(),
                 m.program_memory,
                 m.halt_flag
             ));
@@ -604,17 +604,18 @@ fn simulate(
     spans: Option<&SpanScope>,
 ) -> Result<(SimulateOutcome, ArchProfile), SimulateError> {
     let sim_err = |e: SimError| SimulateError::Sim(e.to_string());
-    let mut sim = Simulator::new(&served.model, mode).map_err(sim_err)?;
+    let mut sim =
+        served.workbench.simulator(mode).map_err(|e| SimulateError::Sim(e.to_string()))?;
     sim.set_spans(spans.cloned());
     if !probes.is_empty() {
         let spec =
             ProbeSpec::parse(&probes.join("; ")).map_err(|e| SimulateError::Sim(e.to_string()))?;
-        let set = spec.compile(&served.model).map_err(|e| SimulateError::Sim(e.to_string()))?;
+        let set = spec.compile(served.model()).map_err(|e| SimulateError::Sim(e.to_string()))?;
         sim.set_probes(set);
     }
     sim.enable_arch_profile();
     let pmem = served
-        .model
+        .model()
         .resource_by_name(served.program_memory)
         .ok_or_else(|| SimulateError::Sim(format!("no `{}` memory", served.program_memory)))?
         .clone();
@@ -626,7 +627,7 @@ fn simulate(
         sim.predecode_program_memory();
     }
     let halt = served
-        .model
+        .model()
         .resource_by_name(served.halt_flag)
         .ok_or_else(|| SimulateError::Sim(format!("no `{}` flag", served.halt_flag)))?
         .clone();
@@ -669,7 +670,7 @@ fn simulate(
     let mut dump = Vec::new();
     for (name, count) in dumps {
         let res = served
-            .model
+            .model()
             .resource_by_name(name)
             .ok_or_else(|| SimulateError::Sim(format!("unknown dump resource `{name}`")))?;
         let values = if res.is_array() {

@@ -27,7 +27,8 @@ use lisa_trace::{CollectingSink, NameTable, Profile, TraceEvent, TraceSink};
 
 use crate::compiled::CompiledTables;
 use crate::fasthash::FastMap;
-use crate::{SimError, SimStats, State};
+use crate::ops::OpsTables;
+use crate::{Prepared, SimError, SimStats, State};
 
 /// An operation instance scheduled for execution: the operation plus its
 /// operand binding (the decoded subtree), if any.
@@ -149,15 +150,18 @@ pub enum SimMode {
 pub struct Simulator<'m> {
     pub(crate) model: &'m Model,
     pub(crate) decoder: Option<Decoder<'m>>,
+    /// The model's shared tables (decoder, lowered code, unbound
+    /// routines).
+    pub(crate) prepared: Arc<Prepared>,
     pub(crate) state: State,
     pub(crate) pipes: Vec<PipeState>,
     pub(crate) pending: Vec<Pending>,
     pub(crate) stats: SimStats,
     pub(crate) mode: SimMode,
     pub(crate) decode_cache: FastMap<u128, Arc<Decoded>>,
-    pub(crate) compiled: Option<std::sync::Arc<CompiledTables>>,
+    pub(crate) compiled: Option<Arc<CompiledTables>>,
     /// Translation caches for [`SimMode::Ops`] (`None` in other modes).
-    pub(crate) ops: Option<Box<crate::ops::OpsTables>>,
+    pub(crate) ops: Option<Box<OpsTables>>,
     pub(crate) seq: u64,
     pub(crate) observer: Option<Box<Observer>>,
     pub(crate) pc_res: Option<ResourceId>,
@@ -191,7 +195,9 @@ impl std::fmt::Debug for Simulator<'_> {
 }
 
 impl<'m> Simulator<'m> {
-    /// Creates a simulator over zeroed state.
+    /// Creates a simulator over zeroed state, preparing the model's
+    /// tables afresh: [`Simulator::with_prepared`] over a new
+    /// [`Prepared`].
     ///
     /// In [`SimMode::Compiled`], behaviors, expressions and activations
     /// are lowered to slot-resolved code up front (part of the paper's
@@ -202,17 +208,37 @@ impl<'m> Simulator<'m> {
     /// Propagates lowering errors for compiled mode (e.g. names that can
     /// never resolve).
     pub fn new(model: &'m Model, mode: SimMode) -> Result<Simulator<'m>, SimError> {
-        let decoder = Decoder::new(model).ok();
+        Simulator::with_prepared(model, Arc::new(Prepared::new(model)), mode)
+    }
+
+    /// Creates a simulator over zeroed state that borrows `prepared`'s
+    /// per-model tables, building the ones `mode` needs on first use.
+    /// Simulators sharing one [`Prepared`] share its decoder tables,
+    /// lowered code and unbound micro-op routines; state, caches and
+    /// snapshots stay per simulator.
+    ///
+    /// # Errors
+    ///
+    /// Propagates lowering errors for compiled mode, as
+    /// [`Simulator::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prepared` was built from a model of a different shape.
+    pub fn with_prepared(
+        model: &'m Model,
+        prepared: Arc<Prepared>,
+        mode: SimMode,
+    ) -> Result<Simulator<'m>, SimError> {
+        prepared.check_model(model);
         let compiled = match mode {
             SimMode::Interpretive => None,
-            SimMode::Compiled | SimMode::Ops => {
-                Some(std::sync::Arc::new(CompiledTables::lower(model)?))
-            }
+            SimMode::Compiled | SimMode::Ops => Some(Arc::clone(prepared.lowered(model)?)),
         };
         let state = State::new(model);
         let ops = match (mode, compiled.as_deref()) {
             (SimMode::Ops, Some(tables)) => {
-                Some(Box::new(crate::ops::OpsTables::build(model, &state, tables)))
+                Some(Box::new(OpsTables::new(prepared.unbound(model, &state, tables))))
             }
             _ => None,
         };
@@ -223,7 +249,8 @@ impl<'m> Simulator<'m> {
             .map(|r| r.id);
         Ok(Simulator {
             model,
-            decoder,
+            decoder: prepared.decoder(model),
+            prepared,
             state,
             pipes: vec![PipeState::default(); model.pipelines().len()],
             pending: Vec::new(),
@@ -242,6 +269,12 @@ impl<'m> Simulator<'m> {
             step_matured: Vec::new(),
             step_keep: Vec::new(),
         })
+    }
+
+    /// The per-model tables this simulator borrows.
+    #[must_use]
+    pub fn prepared(&self) -> &Arc<Prepared> {
+        &self.prepared
     }
 
     /// The model being simulated.

@@ -26,6 +26,7 @@ mod eval;
 mod fasthash;
 mod metrics;
 mod ops;
+mod prepared;
 mod snapshot;
 mod state;
 mod stats;
@@ -42,6 +43,7 @@ pub use lisa_trace::{
     events_to_jsonl, write_vcd, CollectingSink, JsonLinesSink, NameTable, Profile, RingBufferSink,
     TraceEvent, TraceKind, TraceSink,
 };
+pub use prepared::Prepared;
 pub use snapshot::Snapshot;
 pub use state::State;
 pub use stats::{SimStats, STALL_STAGE_BUCKETS};

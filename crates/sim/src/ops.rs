@@ -239,8 +239,9 @@ pub(crate) struct ChildInvoke {
 /// Per-simulator translation caches for ops mode.
 #[derive(Debug, Default)]
 pub(crate) struct OpsTables {
-    /// Default-variant routine per operation id (no operand binding).
-    pub(crate) unbound: Vec<Arc<OpsRoutine>>,
+    /// Default-variant routine per operation id (no operand binding),
+    /// shared through the model's [`crate::Prepared`].
+    pub(crate) unbound: Arc<[Arc<OpsRoutine>]>,
     /// Instance routines keyed by `Arc<Decoded>` pointer identity. The
     /// held `Arc` pins the allocation so keys can never be reused while
     /// an entry is live.
@@ -267,19 +268,28 @@ pub(crate) struct OpsFrame {
 const OPS_CACHE_MAX: usize = 1 << 16;
 
 impl OpsTables {
-    /// Translates the default-variant routine of every operation.
-    pub(crate) fn build(model: &Model, state: &State, tables: &CompiledTables) -> OpsTables {
-        let unbound = model
-            .operations()
-            .iter()
-            .map(|op| {
-                let choices = vec![None; op.groups.len()];
-                let variant = op.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0);
-                Arc::new(translate_routine(model, state, tables, op.id, variant, None))
-            })
-            .collect();
+    /// Empty per-simulator caches over the model's shared unbound
+    /// routines.
+    pub(crate) fn new(unbound: Arc<[Arc<OpsRoutine>]>) -> OpsTables {
         OpsTables { unbound, ..OpsTables::default() }
     }
+}
+
+/// Translates the default-variant routine of every operation.
+pub(crate) fn translate_unbound(
+    model: &Model,
+    state: &State,
+    tables: &CompiledTables,
+) -> Arc<[Arc<OpsRoutine>]> {
+    model
+        .operations()
+        .iter()
+        .map(|op| {
+            let choices = vec![None; op.groups.len()];
+            let variant = op.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0);
+            Arc::new(translate_routine(model, state, tables, op.id, variant, None))
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------

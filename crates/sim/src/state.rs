@@ -210,30 +210,74 @@ impl State {
             })
     }
 
-    /// A 64-bit FNV-1a fingerprint over every storage cell (widths and
-    /// values). Two states of the same model with equal contents hash
-    /// equally, so digests make cheap cross-run state comparisons — the
-    /// batch engine records one per finished job.
+    /// A 64-bit fingerprint over every storage cell, plus each storage's
+    /// width and length. Two states of the same model with equal contents
+    /// hash equally, so digests make cheap cross-run state comparisons —
+    /// the lockstep oracle takes one per backend per cycle and the batch
+    /// engine records one per finished job.
+    ///
+    /// Each storage is hashed over four independent lanes, cell `i` going
+    /// to lane `i % 4`, and each step is a keyed 64×64→128-bit multiply
+    /// folded back to 64 bits, so the lanes' multiplies overlap. Cells of
+    /// storages up to 64 bits wide contribute one word, wider ones two.
+    /// The lanes that took a cell then fold into the running hash in a
+    /// fixed order. The value is not stable across releases: compare
+    /// digests only within one build.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = DIGEST_SEED;
         for s in &self.storages {
-            mix(u64::from(s.width));
-            for cell in &s.data {
-                let raw = cell.to_u128();
-                mix(raw as u64);
-                mix((raw >> 64) as u64);
+            // Widths are at most 128, so the shifted length cannot
+            // overlap them.
+            h = fold(h ^ ((s.data.len() as u64) << 8) ^ u64::from(s.width), LANE_KEYS[0]);
+            let mut lanes = LANE_SEEDS;
+            let wide = s.width > 64;
+            let mut chunks = s.data.chunks_exact(LANE_KEYS.len());
+            for chunk in &mut chunks {
+                for ((lane, key), cell) in lanes.iter_mut().zip(LANE_KEYS).zip(chunk) {
+                    *lane = mix_cell(*lane, key, cell, wide);
+                }
+            }
+            for ((lane, key), cell) in lanes.iter_mut().zip(LANE_KEYS).zip(chunks.remainder()) {
+                *lane = mix_cell(*lane, key, cell, wide);
+            }
+            // Only the lanes that took a cell: scalars cost one fold here.
+            for (lane, key) in lanes.into_iter().zip(LANE_KEYS).take(s.data.len()) {
+                h = fold(h ^ lane, key);
             }
         }
         h
+    }
+}
+
+/// Initial value of [`State::digest`]'s running hash.
+const DIGEST_SEED: u64 = 0x2d35_8dcc_aa6c_78a5;
+
+/// Per-lane multipliers of [`State::digest`] (odd, dense in set bits).
+const LANE_KEYS: [u64; 4] =
+    [0xa076_1d64_78bd_642f, 0xe703_7ed1_a0b4_28db, 0x8ebc_6af0_9c88_c6e3, 0x5899_65cc_7537_4cc3];
+
+/// Per-lane starting values of [`State::digest`], reset for each storage.
+const LANE_SEEDS: [u64; 4] =
+    [0x1d8e_4e27_c47d_124f, 0x9e37_79b9_7f4a_7c15, 0xbf58_476d_1ce4_e5b9, 0x94d0_49bb_1331_11eb];
+
+/// The 128-bit product of `a` and `key`, folded to 64 bits.
+#[inline]
+fn fold(a: u64, key: u64) -> u64 {
+    let product = u128::from(a) * u128::from(key);
+    product as u64 ^ (product >> 64) as u64
+}
+
+/// One cell into one digest lane: its low word, then its high word when
+/// the storage is wider than 64 bits.
+#[inline]
+fn mix_cell(lane: u64, key: u64, cell: &Bits, wide: bool) -> u64 {
+    let raw = cell.to_u128();
+    let lane = fold(lane ^ raw as u64, key);
+    if wide {
+        fold(lane ^ (raw >> 64) as u64, key)
+    } else {
+        lane
     }
 }
 
@@ -322,5 +366,134 @@ mod tests {
         let carry = m.resource_by_name("carry").unwrap();
         st.write_int(carry, &[], 3).unwrap();
         assert_eq!(st.read_int(carry, &[]).unwrap(), 1); // wrapped to 1 bit
+    }
+
+    /// Scalars of several widths, a 100-bit storage, and arrays whose
+    /// lengths leave 1, 2 and 3 cells in the last lane chunk.
+    fn digest_model() -> Model {
+        Model::from_source(
+            r#"RESOURCE {
+                PROGRAM_COUNTER int pc;
+                REGISTER bit[48] accu;
+                REGISTER bit carry;
+                REGISTER bit[100] wide[7];
+                REGISTER bit[100] wide_scalar;
+                DATA_MEMORY short mem[0x10];
+                DATA_MEMORY int banked[2]([4]);
+                DATA_MEMORY bit[64] dwords[6];
+                PROGRAM_MEMORY int prog[0x100..0x10a];
+            }"#,
+        )
+        .expect("model builds")
+    }
+
+    /// A state with every cell set from a fixed xorshift stream, so no
+    /// two cells are likely to be equal and no bit is fixed.
+    fn scrambled(m: &Model) -> State {
+        let mut st = State::new(m);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for s in &mut st.storages {
+            for cell in &mut s.data {
+                let mut word = 0u128;
+                for _ in 0..2 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    word = word << 64 | u128::from(x);
+                }
+                *cell = Bits::from_u128_wrapped(s.width, word);
+            }
+        }
+        st
+    }
+
+    fn flip(st: &mut State, storage: usize, cell: usize, bit: u32) {
+        let s = &mut st.storages[storage];
+        let raw = s.data[cell].to_u128() ^ 1u128 << bit;
+        s.data[cell] = Bits::from_u128_wrapped(s.width, raw);
+    }
+
+    #[test]
+    fn digest_model_covers_the_cases_it_claims() {
+        let st = State::new(&digest_model());
+        let tails: Vec<usize> = st.storages.iter().map(|s| s.data.len() % 4).collect();
+        for tail in 1..4 {
+            assert!(tails.contains(&tail), "a storage leaves {tail} cell(s) in its last chunk");
+        }
+        assert!(st.storages.iter().any(|s| s.width > 64 && s.data.len() > 4));
+        assert!(st.storages.iter().any(|s| s.width > 64 && s.data.len() == 1));
+        assert!(st.storages.iter().any(|s| s.width == 64));
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_digest() {
+        let m = digest_model();
+        for base in [State::new(&m), scrambled(&m)] {
+            let want = base.digest();
+            for (si, s) in base.storages.iter().enumerate() {
+                for cell in 0..s.data.len() {
+                    for bit in 0..s.width {
+                        let mut st = base.clone();
+                        flip(&mut st, si, cell, bit);
+                        assert_ne!(st.digest(), want, "storage {si} cell {cell} bit {bit}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swapping_two_unequal_cells_changes_the_digest() {
+        let m = digest_model();
+        let base = scrambled(&m);
+        let want = base.digest();
+        for (si, s) in base.storages.iter().enumerate() {
+            for i in 0..s.data.len() {
+                for j in i + 1..s.data.len() {
+                    assert_ne!(s.data[i], s.data[j]);
+                    let mut st = base.clone();
+                    st.storages[si].data.swap(i, j);
+                    assert_ne!(st.digest(), want, "storage {si} cells {i} <-> {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn moving_a_value_across_a_storage_boundary_changes_the_digest() {
+        let m = digest_model();
+        let zero = State::new(&m);
+        for si in 0..zero.storages.len() - 1 {
+            // The largest value both neighbours can hold, at the end of
+            // one storage and then at the start of the next.
+            let width = zero.storages[si].width.min(zero.storages[si + 1].width);
+            let value = u128::MAX >> (128 - width);
+            let mut before = zero.clone();
+            let last = before.storages[si].data.len() - 1;
+            before.storages[si].data[last] =
+                Bits::from_u128_wrapped(before.storages[si].width, value);
+            let mut after = zero.clone();
+            after.storages[si + 1].data[0] =
+                Bits::from_u128_wrapped(after.storages[si + 1].width, value);
+            assert_ne!(before.digest(), after.digest(), "boundary after storage {si}");
+        }
+    }
+
+    #[test]
+    fn equal_states_digest_equally() {
+        let m = digest_model();
+        assert_eq!(State::new(&m).digest(), State::new(&m).digest());
+        let a = scrambled(&m);
+        assert_eq!(a.digest(), a.clone().digest());
+        assert_eq!(a.digest(), scrambled(&m).digest());
+        // Built through the public write path instead of the cells.
+        let (mut b, mut c) = (State::new(&m), State::new(&m));
+        for st in [&mut b, &mut c] {
+            st.write_int(m.resource_by_name("pc").unwrap(), &[], -7).unwrap();
+            st.write_int(m.resource_by_name("banked").unwrap(), &[1, 3], 99).unwrap();
+        }
+        assert_eq!(b, c);
+        assert_eq!(b.digest(), c.digest());
+        assert_ne!(b.digest(), State::new(&m).digest());
     }
 }

@@ -4,7 +4,9 @@
 //! time.
 
 use lisa_core::Model;
-use lisa_sim::{SimError, SimMode, Simulator};
+use std::sync::Arc;
+
+use lisa_sim::{Prepared, SimError, SimMode, Simulator};
 
 fn model(behavior: &str) -> Model {
     Model::from_source(&format!(
@@ -22,6 +24,26 @@ fn unknown_names_fail_at_lowering_time() {
     // Interpretive construction succeeds; the error surfaces at run time.
     let mut sim = Simulator::new(&m, SimMode::Interpretive).expect("builds");
     assert!(matches!(sim.step(), Err(SimError::UnknownName { .. })));
+}
+
+#[test]
+fn shared_tables_keep_the_lowering_error_and_the_interpreter() {
+    let m = model("r = missing;");
+    let prepared = Arc::new(Prepared::new(&m));
+    for mode in [SimMode::Compiled, SimMode::Ops, SimMode::Compiled] {
+        let err = Simulator::with_prepared(&m, Arc::clone(&prepared), mode).unwrap_err();
+        assert!(matches!(err, SimError::UnknownName { ref name, .. } if name == "missing"));
+    }
+    let mut sim = Simulator::with_prepared(&m, prepared, SimMode::Interpretive).expect("builds");
+    assert!(matches!(sim.step(), Err(SimError::UnknownName { .. })));
+}
+
+#[test]
+#[should_panic(expected = "different model")]
+fn tables_of_another_model_are_refused() {
+    let prepared = Arc::new(Prepared::new(&model("r = 1;")));
+    let other = Model::from_source("RESOURCE { REGISTER int r; }").expect("model parses");
+    let _ = Simulator::with_prepared(&other, prepared, SimMode::Interpretive);
 }
 
 #[test]
