@@ -110,7 +110,9 @@ pub fn load_kernel<'m>(
             .clone();
         sim.state_mut().write_int(&res, &[addr], value)?;
     }
-    if mode == SimMode::Compiled {
+    // Every translating backend predecodes (and ops translates) here,
+    // as `Simulator::load_program` does, so timed runs exclude it.
+    if mode != SimMode::Interpretive {
         sim.predecode_program_memory();
     }
     Ok(sim)

@@ -27,23 +27,88 @@ use lisa_trace::{CollectingSink, NameTable, Profile, TraceEvent, TraceSink};
 
 use crate::compiled::CompiledTables;
 use crate::fasthash::FastMap;
-use crate::ops::OpsTables;
+use crate::ops::{InstId, OpsCode, OpsScratch};
 use crate::{Prepared, SimError, SimStats, State};
 
-/// An operation instance scheduled for execution: the operation plus its
-/// operand binding (the decoded subtree), if any.
-#[derive(Debug, Clone)]
+/// An operation instance scheduled for execution: the operation plus a
+/// handle on its operand binding (the decoded subtree), if any.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecItem {
     pub op: OpId,
-    pub decoded: Option<Arc<Decoded>>,
-    /// Pre-translated routine for ops-mode activation targets — skips
-    /// the instance-cache probe when the item matures. Always `None` in
-    /// the tree-walking modes.
-    pub routine: Option<Arc<crate::ops::OpsRoutine>>,
+    pub bind: Bind,
+}
+
+impl ExecItem {
+    /// An item with no operand binding.
+    pub(crate) fn unbound(op: OpId) -> ExecItem {
+        ExecItem { op, bind: Bind::None }
+    }
+}
+
+/// Where a scheduled item's operand binding lives.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Bind {
+    /// No binding.
+    None,
+    /// An interned instance of the ops code tables (ops mode): binding
+    /// and translated routine in one.
+    Inst(InstId),
+    /// A slot of the simulator's [`Parked`] bindings (tree-walking
+    /// modes); consumed when the item executes or is flushed.
+    Slot(u32),
+}
+
+/// Decoded bindings of scheduled items in the tree-walking modes, which
+/// decode (interpretive) or share subtrees per activation. Each slot is
+/// owned by exactly one scheduled item.
+#[derive(Debug, Default)]
+pub(crate) struct Parked {
+    slots: Vec<Option<Arc<Decoded>>>,
+    free: Vec<u32>,
+}
+
+impl Parked {
+    /// Parks a binding in a free slot.
+    pub(crate) fn park(&mut self, decoded: Arc<Decoded>) -> Bind {
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = Some(decoded);
+                Bind::Slot(i)
+            }
+            None => {
+                self.slots.push(Some(decoded));
+                Bind::Slot(self.slots.len() as u32 - 1)
+            }
+        }
+    }
+
+    /// Takes a binding out, freeing its slot.
+    pub(crate) fn take(&mut self, slot: u32) -> Arc<Decoded> {
+        self.free.push(slot);
+        self.slots[slot as usize].take().expect("each parked binding is consumed once")
+    }
+
+    /// The binding in a slot, left in place.
+    pub(crate) fn get(&self, slot: u32) -> &Arc<Decoded> {
+        self.slots[slot as usize].as_ref().expect("parked slot is live")
+    }
+
+    /// Frees the slot of an item that will never execute.
+    pub(crate) fn release(&mut self, bind: Bind) {
+        if let Bind::Slot(slot) = bind {
+            self.take(slot);
+        }
+    }
+
+    /// Frees every slot.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
 }
 
 /// A delayed activation waiting in the schedule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Pending {
     pub item: ExecItem,
     /// Target pipeline and stage when the operation is pipelined.
@@ -160,8 +225,15 @@ pub struct Simulator<'m> {
     pub(crate) mode: SimMode,
     pub(crate) decode_cache: FastMap<u128, Arc<Decoded>>,
     pub(crate) compiled: Option<Arc<CompiledTables>>,
-    /// Translation caches for [`SimMode::Ops`] (`None` in other modes).
-    pub(crate) ops: Option<Box<OpsTables>>,
+    /// Code tables for [`SimMode::Ops`] (`None` in other modes, and
+    /// while a step has them taken out).
+    pub(crate) ops: Option<Box<OpsCode>>,
+    /// Ops-mode frames, plan buffers and staged translations.
+    pub(crate) ops_scratch: OpsScratch,
+    /// Bindings of scheduled items in the tree-walking modes.
+    pub(crate) parked: Parked,
+    /// Reusable ready lists for behavior-level activation drains.
+    pub(crate) act_ready: Vec<Vec<ExecItem>>,
     pub(crate) seq: u64,
     pub(crate) observer: Option<Box<Observer>>,
     pub(crate) pc_res: Option<ResourceId>,
@@ -173,6 +245,8 @@ pub struct Simulator<'m> {
     /// Wall-clock span context, when a caller attached one. `None` keeps
     /// the run loops on their unobserved fast path.
     pub(crate) spans: Option<SpanScope>,
+    /// The interpreter's local-variable stack (see `eval::Frame`).
+    pub(crate) interp_locals: Vec<(&'m str, i64)>,
     /// Reusable per-step ready list (capacity persists across steps).
     step_ready: Vec<ExecItem>,
     /// Reusable per-step matured-activation buffer.
@@ -238,7 +312,7 @@ impl<'m> Simulator<'m> {
         let state = State::new(model);
         let ops = match (mode, compiled.as_deref()) {
             (SimMode::Ops, Some(tables)) => {
-                Some(Box::new(OpsTables::new(prepared.unbound(model, &state, tables))))
+                Some(Box::new(OpsCode::new(prepared.unbound(model, &state, tables))))
             }
             _ => None,
         };
@@ -259,6 +333,10 @@ impl<'m> Simulator<'m> {
             decode_cache: FastMap::default(),
             compiled,
             ops,
+            ops_scratch: OpsScratch::default(),
+            parked: Parked::default(),
+            act_ready: Vec::new(),
+            interp_locals: Vec::new(),
             seq: 0,
             observer: None,
             pc_res,
@@ -669,6 +747,17 @@ impl<'m> Simulator<'m> {
     /// Propagates behavior-evaluation errors ([`SimError`]); the step is
     /// partially applied when an error is returned.
     pub fn step(&mut self) -> Result<(), SimError> {
+        // Ops mode runs the step with its code tables taken out, so the
+        // cycle path borrows routines while it mutates the machine.
+        let code = self.ops.take();
+        let result = self.step_in(code.as_deref());
+        if let Some(code) = code {
+            self.ops_end_step(code);
+        }
+        result
+    }
+
+    fn step_in(&mut self, code: Option<&OpsCode>) -> Result<(), SimError> {
         for pipe in &mut self.pipes {
             pipe.stall_upto = None;
         }
@@ -679,36 +768,29 @@ impl<'m> Simulator<'m> {
         let mut ready = std::mem::take(&mut self.step_ready);
         ready.clear();
         if let Some(main) = self.model.main_op() {
-            ready.push(ExecItem { op: main, decoded: None, routine: None });
+            ready.push(ExecItem::unbound(main));
         }
-        let mut matured = std::mem::take(&mut self.step_matured);
-        matured.clear();
-        // Partition by moving (no clones): matured items out, waiting
-        // items back into `pending` in their original order.
-        std::mem::swap(&mut self.pending, &mut self.step_keep);
-        for p in self.step_keep.drain(..) {
-            if p.remaining == 0 {
-                matured.push(p);
-            } else {
-                self.pending.push(p);
+        if !self.pending.is_empty() {
+            let mut matured = std::mem::take(&mut self.step_matured);
+            matured.clear();
+            // Partition by moving: matured items out, waiting items back
+            // into `pending` in their original order.
+            std::mem::swap(&mut self.pending, &mut self.step_keep);
+            for p in self.step_keep.drain(..) {
+                if p.remaining == 0 {
+                    matured.push(p);
+                } else {
+                    self.pending.push(p);
+                }
             }
+            matured.sort_by_key(|p| p.seq);
+            ready.extend(matured.drain(..).map(|p| p.item));
+            self.step_matured = matured;
         }
-        matured.sort_by_key(|p| p.seq);
-        ready.extend(matured.drain(..).map(|p| p.item));
-        self.step_matured = matured;
 
         let mut i = 0;
         let result = loop {
-            if i >= ready.len() {
-                break Ok(());
-            }
-            // Move the item out (Copy op id, `take` the binding) instead
-            // of cloning: nothing re-reads a consumed slot.
-            let item = ExecItem {
-                op: ready[i].op,
-                decoded: ready[i].decoded.take(),
-                routine: ready[i].routine.take(),
-            };
+            let Some(&item) = ready.get(i) else { break Ok(()) };
             i += 1;
             // A stalled stage holds its operation: re-queue for the next
             // control step instead of executing (`pipe.stage.stall()`
@@ -725,7 +807,10 @@ impl<'m> Simulator<'m> {
                     continue;
                 }
             }
-            if let Err(e) = self.execute_item(&item, &mut ready) {
+            if let Err(e) = self.execute_item(code, item, &mut ready) {
+                for rest in &ready[i..] {
+                    self.parked.release(rest.bind);
+                }
                 break Err(e);
             }
         };
@@ -834,20 +919,27 @@ impl<'m> Simulator<'m> {
         None
     }
 
-    /// Executes one scheduled item: behavior, then activation.
-    fn execute_item(&mut self, item: &ExecItem, ready: &mut Vec<ExecItem>) -> Result<(), SimError> {
+    /// Executes one scheduled item: behavior, then activation. `code` is
+    /// the ops code tables in ops mode.
+    fn execute_item(
+        &mut self,
+        code: Option<&OpsCode>,
+        item: ExecItem,
+        ready: &mut Vec<ExecItem>,
+    ) -> Result<(), SimError> {
         self.stats.executed_ops += 1;
-        if self.mode == SimMode::Ops {
-            return self.execute_item_ops(item, ready);
+        if let Some(code) = code {
+            return self.execute_item_ops(code, item, ready);
         }
         let operation = self.model.operation(item.op);
 
         // Decode-root operations fetch their binding from the compared
         // resource ("the coding sequences of all defined operations must be
         // compared to the actual value of the current instruction word").
-        let decoded: Option<Arc<Decoded>> = match (&item.decoded, operation.decode_root) {
-            (Some(d), _) => Some(Arc::clone(d)),
-            (None, Some(root_res)) => {
+        let decoded: Option<Arc<Decoded>> = match (item.bind, operation.decode_root) {
+            (Bind::Slot(slot), _) => Some(self.parked.take(slot)),
+            (Bind::Inst(_), _) => unreachable!("instance handles exist in ops mode only"),
+            (Bind::None, Some(root_res)) => {
                 let word = self.state.scalar(root_res).to_u128();
                 if self.observing() {
                     let event =
@@ -856,16 +948,13 @@ impl<'m> Simulator<'m> {
                 }
                 Some(self.decode_word(word)?)
             }
-            (None, None) => None,
+            (Bind::None, None) => None,
         };
 
         let variant = match &decoded {
             Some(d) if d.op == item.op => d.variant,
-            _ => {
-                // No binding: select the default (guard-free) variant.
-                let choices = vec![None; operation.groups.len()];
-                operation.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0)
-            }
+            // No binding: select the default (guard-free) variant.
+            _ => crate::ops::default_variant(self.model, item.op),
         };
 
         if self.observing() {
@@ -878,79 +967,13 @@ impl<'m> Simulator<'m> {
             self.emit(event);
         }
 
-        match self.mode {
-            SimMode::Interpretive => {
-                self.exec_behavior_interp(item.op, variant, decoded.as_deref())?;
-            }
-            SimMode::Compiled => {
-                self.exec_behavior_compiled(item.op, variant, decoded.as_deref())?;
-            }
-            SimMode::Ops => unreachable!("ops items route through execute_item_ops"),
+        if self.mode == SimMode::Compiled {
+            self.exec_behavior_compiled(item.op, variant, decoded.as_deref())?;
+        } else {
+            self.exec_behavior_interp(item.op, variant, decoded.as_deref())?;
         }
 
         self.run_activation(item.op, variant, decoded.as_deref(), ready)?;
-        if operation.decode_root.is_some() {
-            self.stats.instructions_retired += 1;
-        }
-        Ok(())
-    }
-
-    /// [`SimMode::Ops`] twin of `execute_item`: identical fetch/decode
-    /// bookkeeping and event order, but the behavior runs as translated
-    /// micro-op code resolved through the routine caches.
-    fn execute_item_ops(
-        &mut self,
-        item: &ExecItem,
-        ready: &mut Vec<ExecItem>,
-    ) -> Result<(), SimError> {
-        let operation = self.model.operation(item.op);
-        let default_variant = || {
-            let choices = vec![None; operation.groups.len()];
-            operation.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0)
-        };
-        let routine = match (&item.routine, &item.decoded, operation.decode_root) {
-            // Activation targets resolved at translate time carry their
-            // routine — no cache probe.
-            (Some(r), _, _) => Arc::clone(r),
-            (None, Some(d), _) => {
-                if d.op == item.op {
-                    self.ops_instance_routine(d)
-                } else {
-                    self.ops_uncached_routine(item.op, default_variant(), Some(d))
-                }
-            }
-            (None, None, Some(root_res)) => {
-                let word = self.state.scalar(root_res).to_u128();
-                if self.observing() {
-                    let event =
-                        TraceEvent::Fetch { cycle: self.stats.cycles, pc: self.current_pc(), word };
-                    self.emit(event);
-                }
-                let (d, routine) = self.ops_decode_word(word)?;
-                if d.op == item.op {
-                    routine
-                } else {
-                    self.ops_uncached_routine(item.op, default_variant(), Some(&d))
-                }
-            }
-            (None, None, None) => self.ops_unbound_routine(item.op),
-        };
-
-        if self.observing() {
-            let event = TraceEvent::Exec {
-                cycle: self.stats.cycles,
-                op: item.op,
-                stage: operation.stage.map(|(p, s)| (p, s as u16)),
-                pc: self.current_pc(),
-            };
-            self.emit(event);
-        }
-
-        self.run_ops(&routine)?;
-
-        if let Some(plan) = routine.act.as_ref() {
-            self.run_act_steps(plan, &plan.steps, &mut crate::ops::ActSink::Sched(ready))?;
-        }
         if operation.decode_root.is_some() {
             self.stats.instructions_retired += 1;
         }
@@ -971,14 +994,13 @@ impl<'m> Simulator<'m> {
         let Some(activation) = operation.variants[variant].activation.as_ref() else {
             return Ok(());
         };
-        self.run_act_nodes(activation, op, variant, decoded, ready)
+        self.run_act_nodes(activation, op, decoded, ready)
     }
 
     pub(crate) fn run_act_nodes(
         &mut self,
         nodes: &[lisa_core::ast::ActNode],
         op: OpId,
-        variant: usize,
         decoded: Option<&Decoded>,
         ready: &mut Vec<ExecItem>,
     ) -> Result<(), SimError> {
@@ -999,15 +1021,15 @@ impl<'m> Simulator<'m> {
                     self.activate_name(&target, *delay, op, decoded, ready)?;
                 }
                 ActNode::If { cond, then_items, else_items, .. } => {
-                    let value = self.eval_condition(cond, op, variant, decoded)?;
+                    let value = self.eval_condition(cond, op, decoded)?;
                     let branch = if value != 0 { then_items } else { else_items };
-                    self.run_act_nodes(branch, op, variant, decoded, ready)?;
+                    self.run_act_nodes(branch, op, decoded, ready)?;
                 }
                 ActNode::Switch { scrutinee, cases, default, .. } => {
-                    let value = self.eval_condition(scrutinee, op, variant, decoded)?;
+                    let value = self.eval_condition(scrutinee, op, decoded)?;
                     let body =
                         cases.iter().find(|(v, _)| *v == value).map(|(_, b)| b).unwrap_or(default);
-                    self.run_act_nodes(body, op, variant, decoded, ready)?;
+                    self.run_act_nodes(body, op, decoded, ready)?;
                 }
             }
         }
@@ -1033,7 +1055,7 @@ impl<'m> Simulator<'m> {
                         operation: operation.name.clone(),
                     }
                 })?;
-            ExecItem { op: child.op, decoded: Some(child), routine: None }
+            ExecItem { op: child.op, bind: self.parked.park(child) }
         } else if let Some(target) = self.model.operation_by_name(name) {
             // Direct operation activation; if the current binding has a
             // matching op-reference child, pass it along.
@@ -1047,7 +1069,8 @@ impl<'m> Simulator<'m> {
                     _ => None,
                 })
             });
-            ExecItem { op: target.id, decoded: child, routine: None }
+            let bind = child.map_or(Bind::None, |c| self.parked.park(c));
+            ExecItem { op: target.id, bind }
         } else {
             return Err(SimError::UnknownActivation {
                 name: name.to_owned(),
@@ -1163,12 +1186,16 @@ impl<'m> Simulator<'m> {
     pub(crate) fn pipe_flush(&mut self, pid: PipelineId, upto: Option<usize>) {
         self.stats.flushes += 1;
         let before = self.pending.len();
-        self.pending.retain(|p| match p.pipe {
-            Some((ppid, stage)) if ppid == pid => match upto {
-                None => false,
-                Some(s) => stage > s,
-            },
-            _ => true,
+        let parked = &mut self.parked;
+        self.pending.retain(|p| {
+            let keep = match p.pipe {
+                Some((ppid, stage)) if ppid == pid => upto.is_some_and(|s| stage > s),
+                _ => true,
+            };
+            if !keep {
+                parked.release(p.item.bind);
+            }
+            keep
         });
         if self.observing() {
             let event = TraceEvent::Flush {
@@ -1186,28 +1213,56 @@ impl<'m> Simulator<'m> {
         &mut self,
         expr: &lisa_core::ast::Expr,
         op: OpId,
-        variant: usize,
         decoded: Option<&Decoded>,
     ) -> Result<i64, SimError> {
-        let mut frame = crate::eval::Frame::new(op, variant, decoded);
+        let mut frame = self.frame(op, decoded);
         self.eval_expr_interp(expr, &mut frame)
     }
 
     /// Directly injects a decoded instruction for execution this step —
     /// used by tests and by front-ends that bypass fetch modelling.
     pub fn execute_decoded(&mut self, decoded: &Decoded) -> Result<(), SimError> {
-        let mut ready = vec![ExecItem {
-            op: decoded.op,
-            decoded: Some(Arc::new(decoded.clone())),
-            routine: None,
-        }];
+        let bind = self.bind(Some(Arc::new(decoded.clone())));
+        let mut ready = vec![ExecItem { op: decoded.op, bind }];
+        let code = self.ops.take();
+        let mut result = Ok(());
         let mut i = 0;
-        while i < ready.len() {
-            let item = ready[i].clone();
-            self.execute_item(&item, &mut ready)?;
+        while let Some(&item) = ready.get(i) {
             i += 1;
+            if let Err(e) = self.execute_item(code.as_deref(), item, &mut ready) {
+                for rest in &ready[i..] {
+                    self.parked.release(rest.bind);
+                }
+                result = Err(e);
+                break;
+            }
         }
-        Ok(())
+        if let Some(code) = code {
+            self.ops_end_step(code);
+        }
+        result
+    }
+
+    /// A handle on a scheduled item's binding (outside a step): an
+    /// interned instance in ops mode, a parked slot otherwise.
+    pub(crate) fn bind(&mut self, decoded: Option<Arc<Decoded>>) -> Bind {
+        let Some(d) = decoded else { return Bind::None };
+        if self.mode == SimMode::Ops {
+            if let Some(id) = self.ops_bind(&d) {
+                return Bind::Inst(id);
+            }
+        }
+        self.parked.park(d)
+    }
+
+    /// The decoded binding behind a scheduled item's handle (outside a
+    /// step).
+    pub(crate) fn bound(&self, bind: Bind) -> Option<Arc<Decoded>> {
+        match bind {
+            Bind::None => None,
+            Bind::Inst(id) => Some(self.ops_decoded(id)),
+            Bind::Slot(slot) => Some(Arc::clone(self.parked.get(slot))),
+        }
     }
 
     /// Number of delayed activations currently in flight (diagnostics).
@@ -1219,9 +1274,10 @@ impl<'m> Simulator<'m> {
     /// Writes a program image (words) into a `PROGRAM_MEMORY` resource
     /// starting at its base address.
     ///
-    /// In [`SimMode::Compiled`] the loaded region is immediately
-    /// pre-decoded into the decode cache (the translate-time step of
-    /// compiled simulation), so callers no longer need to invoke
+    /// In [`SimMode::Compiled`] and [`SimMode::Ops`] the loaded region
+    /// is immediately pre-decoded into the decode cache (and, in ops
+    /// mode, translated) — the translate-time step of compiled
+    /// simulation — so callers need not invoke
     /// [`Simulator::predecode_program_memory`] by hand after loading.
     ///
     /// # Errors

@@ -4,43 +4,34 @@
 //! module looks up at run time.
 
 use lisa_core::ast::{AssignOp, BinOp, Block, Call, Expr, Stmt, UnOp};
-use lisa_core::model::{CodingTarget, OpId, Resource};
+use lisa_core::model::{CodingTarget, OpId};
 use lisa_isa::Decoded;
 
 use crate::{SimError, Simulator};
 
-/// A behavior-execution frame: the operation instance being evaluated and
-/// its local variables.
+/// A behavior-execution frame: the operation instance being evaluated.
+/// Its locals are the simulator's local stack from `base` up — names
+/// borrowed from the model, scopes marked by stack height — so
+/// evaluating a behavior allocates nothing once the stack has grown.
 #[derive(Debug)]
 pub(crate) struct Frame<'d> {
     pub op: OpId,
-    #[allow(dead_code)] // kept for symmetry with the lowered frame and diagnostics
-    pub variant: usize,
     pub decoded: Option<&'d Decoded>,
-    locals: Vec<(String, i64)>,
-    scopes: Vec<usize>,
+    base: usize,
 }
 
-impl<'d> Frame<'d> {
-    pub fn new(op: OpId, variant: usize, decoded: Option<&'d Decoded>) -> Self {
-        Frame { op, variant, decoded, locals: Vec::new(), scopes: Vec::new() }
+impl<'m> Simulator<'m> {
+    /// A frame whose locals start at the top of the local stack.
+    pub(crate) fn frame<'d>(&self, op: OpId, decoded: Option<&'d Decoded>) -> Frame<'d> {
+        Frame { op, decoded, base: self.interp_locals.len() }
     }
 
-    fn push_scope(&mut self) {
-        self.scopes.push(self.locals.len());
-    }
-
-    fn pop_scope(&mut self) {
-        let mark = self.scopes.pop().unwrap_or(0);
-        self.locals.truncate(mark);
-    }
-
-    fn declare(&mut self, name: &str, value: i64) {
-        self.locals.push((name.to_owned(), value));
-    }
-
-    fn local(&self, name: &str) -> Option<usize> {
-        self.locals.iter().rposition(|(n, _)| n == name)
+    /// The innermost visible local named `name`, as a stack index.
+    fn local(&self, frame: &Frame<'_>, name: &str) -> Option<usize> {
+        self.interp_locals[frame.base..]
+            .iter()
+            .rposition(|(n, _)| *n == name)
+            .map(|i| frame.base + i)
     }
 }
 
@@ -71,19 +62,21 @@ impl<'m> Simulator<'m> {
         let Some(behavior) = operation.variants[variant].behavior.as_ref() else {
             return Ok(());
         };
-        let mut frame = Frame::new(op, variant, decoded);
-        self.eval_block(behavior, &mut frame)?;
-        Ok(())
+        let mut frame = self.frame(op, decoded);
+        let result = self.eval_block(behavior, &mut frame);
+        // Also drops the locals of scopes an error left early.
+        self.interp_locals.truncate(frame.base);
+        result.map(drop)
     }
 
-    fn eval_block(&mut self, block: &Block, frame: &mut Frame<'_>) -> Result<Flow, SimError> {
-        frame.push_scope();
+    fn eval_block(&mut self, block: &'m Block, frame: &mut Frame<'_>) -> Result<Flow, SimError> {
+        let mark = self.interp_locals.len();
         let flow = self.eval_stmts(&block.stmts, frame);
-        frame.pop_scope();
+        self.interp_locals.truncate(mark);
         flow
     }
 
-    fn eval_stmts(&mut self, stmts: &[Stmt], frame: &mut Frame<'_>) -> Result<Flow, SimError> {
+    fn eval_stmts(&mut self, stmts: &'m [Stmt], frame: &mut Frame<'_>) -> Result<Flow, SimError> {
         for stmt in stmts {
             match self.eval_stmt(stmt, frame)? {
                 Flow::Normal => {}
@@ -93,7 +86,7 @@ impl<'m> Simulator<'m> {
         Ok(Flow::Normal)
     }
 
-    fn eval_stmt(&mut self, stmt: &Stmt, frame: &mut Frame<'_>) -> Result<Flow, SimError> {
+    fn eval_stmt(&mut self, stmt: &'m Stmt, frame: &mut Frame<'_>) -> Result<Flow, SimError> {
         match stmt {
             Stmt::Local { ty, name, init } => {
                 let value = match init {
@@ -108,7 +101,7 @@ impl<'m> Simulator<'m> {
                 } else {
                     wrapped.to_u128() as i64
                 };
-                frame.declare(&name.name, value);
+                self.interp_locals.push((&name.name, value));
                 Ok(Flow::Normal)
             }
             Stmt::Assign { target, op, value } => {
@@ -117,19 +110,19 @@ impl<'m> Simulator<'m> {
                 let new = match op {
                     AssignOp::Set => rhs,
                     _ => {
-                        let old = self.read_place(place, frame)?;
+                        let old = self.read_place(place)?;
                         apply_compound(*op, old, rhs).map_err(|_| SimError::DivisionByZero {
                             operation: self.model.operation(frame.op).name.clone(),
                         })?
                     }
                 };
-                self.write_place(place, new, frame)?;
+                self.write_place(place, new)?;
                 Ok(Flow::Normal)
             }
             Stmt::IncDec { target, delta } => {
                 let place = self.eval_place(target, frame)?;
-                let old = self.read_place(place, frame)?;
-                self.write_place(place, old.wrapping_add(*delta), frame)?;
+                let old = self.read_place(place)?;
+                self.write_place(place, old.wrapping_add(*delta))?;
                 Ok(Flow::Normal)
             }
             Stmt::Expr(expr) => {
@@ -163,7 +156,7 @@ impl<'m> Simulator<'m> {
                 Ok(Flow::Normal)
             }
             Stmt::For { init, cond, step, body } => {
-                frame.push_scope();
+                let mark = self.interp_locals.len();
                 if let Some(init) = init {
                     self.eval_stmt(init, frame)?;
                 }
@@ -180,7 +173,7 @@ impl<'m> Simulator<'m> {
                         self.eval_stmt(step, frame)?;
                     }
                 }
-                frame.pop_scope();
+                self.interp_locals.truncate(mark);
                 Ok(Flow::Normal)
             }
             Stmt::Switch { scrutinee, cases, default } => {
@@ -269,47 +262,18 @@ impl<'m> Simulator<'m> {
 
     /// Executes a decoded operation instance immediately (behavior +
     /// activation; zero-delay activations also run in this control step).
+    /// The tree-walking modes' path; ops mode runs translated routines.
     pub(crate) fn invoke_decoded(&mut self, decoded: &Decoded) -> Result<(), SimError> {
         self.stats.executed_ops += 1;
         if self.observing() {
             self.emit_exec(decoded.op);
         }
-        match self.mode {
-            crate::SimMode::Interpretive => {
-                self.exec_behavior_interp(decoded.op, decoded.variant, Some(decoded))?;
-            }
-            crate::SimMode::Compiled => {
-                self.exec_behavior_compiled(decoded.op, decoded.variant, Some(decoded))?;
-            }
-            crate::SimMode::Ops => {
-                // Borrowed (non-`Arc`) instances can't be identity-cached;
-                // translate on the spot. The hot paths go through
-                // `invoke_decoded_arc` instead.
-                let routine = self.ops_uncached_routine(decoded.op, decoded.variant, Some(decoded));
-                self.run_ops(&routine)?;
-                return self.invoke_plan(&routine);
-            }
+        if self.mode == crate::SimMode::Compiled {
+            self.exec_behavior_compiled(decoded.op, decoded.variant, Some(decoded))?;
+        } else {
+            self.exec_behavior_interp(decoded.op, decoded.variant, Some(decoded))?;
         }
         self.invoke_activation(decoded.op, decoded.variant, Some(decoded))
-    }
-
-    /// Like [`Self::invoke_decoded`] but for `Arc`-shared instances, so
-    /// ops mode can resolve (and cache) the translated routine by
-    /// pointer identity instead of retranslating.
-    pub(crate) fn invoke_decoded_arc(
-        &mut self,
-        decoded: &std::sync::Arc<Decoded>,
-    ) -> Result<(), SimError> {
-        if self.mode == crate::SimMode::Ops {
-            self.stats.executed_ops += 1;
-            if self.observing() {
-                self.emit_exec(decoded.op);
-            }
-            let routine = self.ops_instance_routine(decoded);
-            self.run_ops(&routine)?;
-            return self.invoke_plan(&routine);
-        }
-        self.invoke_decoded(decoded)
     }
 
     /// Executes an operation with no operand binding. Decode-root
@@ -326,19 +290,6 @@ impl<'m> Simulator<'m> {
                 };
                 self.emit(event);
             }
-            if self.mode == crate::SimMode::Ops {
-                // Fused decode+translate lookup: one cache probe resolves
-                // both the instance and its micro-op routine.
-                let (decoded, routine) = self.ops_decode_word(word)?;
-                self.stats.executed_ops += 1;
-                if self.observing() {
-                    self.emit_exec(decoded.op);
-                }
-                self.run_ops(&routine)?;
-                self.invoke_plan(&routine)?;
-                self.stats.instructions_retired += 1;
-                return Ok(());
-            }
             let decoded = self.decode_word(word)?;
             self.invoke_decoded(&decoded)?;
             self.stats.instructions_retired += 1;
@@ -348,19 +299,11 @@ impl<'m> Simulator<'m> {
         if self.observing() {
             self.emit_exec(op);
         }
-        if self.mode == crate::SimMode::Ops {
-            // The pre-translated routine already encodes the default
-            // variant — skip the guard-matching walk entirely.
-            let routine = self.ops_unbound_routine(op);
-            self.run_ops(&routine)?;
-            return self.invoke_plan(&routine);
-        }
-        let choices = vec![None; operation.groups.len()];
-        let variant = operation.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0);
-        match self.mode {
-            crate::SimMode::Interpretive => self.exec_behavior_interp(op, variant, None)?,
-            crate::SimMode::Compiled => self.exec_behavior_compiled(op, variant, None)?,
-            crate::SimMode::Ops => unreachable!("handled above"),
+        let variant = crate::ops::default_variant(self.model, op);
+        if self.mode == crate::SimMode::Compiled {
+            self.exec_behavior_compiled(op, variant, None)?;
+        } else {
+            self.exec_behavior_interp(op, variant, None)?;
         }
         self.invoke_activation(op, variant, None)
     }
@@ -377,18 +320,27 @@ impl<'m> Simulator<'m> {
         let Some(activation) = operation.variants[variant].activation.as_ref() else {
             return Ok(());
         };
-        let mut ready = Vec::new();
-        self.run_act_nodes(activation, op, variant, decoded, &mut ready)?;
-        let mut i = 0;
-        while i < ready.len() {
-            let item = ready[i].clone();
-            match item.decoded {
-                Some(d) => self.invoke_decoded_arc(&d)?,
-                None => self.invoke_unbound(item.op)?,
+        let mut ready = self.act_ready.pop().unwrap_or_default();
+        ready.clear();
+        let mut done = 0;
+        let result = self.run_act_nodes(activation, op, decoded, &mut ready).and_then(|()| {
+            while let Some(&item) = ready.get(done) {
+                done += 1;
+                match item.bind {
+                    crate::engine::Bind::Slot(slot) => {
+                        let d = self.parked.take(slot);
+                        self.invoke_decoded(&d)?;
+                    }
+                    _ => self.invoke_unbound(item.op)?,
+                }
             }
-            i += 1;
+            Ok(())
+        });
+        for rest in &ready[done..] {
+            self.parked.release(rest.bind);
         }
-        Ok(())
+        self.act_ready.push(ready);
+        result
     }
 
     // -- expressions --------------------------------------------------------
@@ -403,7 +355,7 @@ impl<'m> Simulator<'m> {
             Expr::Name(id) => self.read_name(&id.name, frame),
             Expr::Index { .. } => {
                 let place = self.eval_place(expr, frame)?;
-                self.read_place(place, frame)
+                self.read_place(place)
             }
             Expr::Unary { op, expr } => {
                 let v = self.eval_expr_interp(expr, frame)?;
@@ -452,8 +404,8 @@ impl<'m> Simulator<'m> {
     }
 
     fn read_name(&mut self, name: &str, frame: &mut Frame<'_>) -> Result<i64, SimError> {
-        if let Some(idx) = frame.local(name) {
-            return Ok(frame.locals[idx].1);
+        if let Some(idx) = self.local(frame, name) {
+            return Ok(self.interp_locals[idx].1);
         }
         let operation = self.model.operation(frame.op);
         if let Some(lidx) = operation.label_index(name) {
@@ -511,7 +463,7 @@ impl<'m> Simulator<'m> {
         let operation = self.model.operation(child.op);
         let variant = &operation.variants[child.variant];
         if let Some(expr) = variant.expression.as_ref() {
-            let mut child_frame = Frame::new(child.op, child.variant, Some(child));
+            let mut child_frame = self.frame(child.op, Some(child));
             return self.eval_expr_interp(expr, &mut child_frame);
         }
         // Immediate-like operand: a single label value.
@@ -638,7 +590,7 @@ impl<'m> Simulator<'m> {
     fn eval_place(&mut self, expr: &Expr, frame: &mut Frame<'_>) -> Result<Place, SimError> {
         match expr {
             Expr::Name(id) => {
-                if let Some(idx) = frame.local(&id.name) {
+                if let Some(idx) = self.local(frame, &id.name) {
                     return Ok(Place::Local(idx));
                 }
                 let operation = self.model.operation(frame.op);
@@ -667,49 +619,48 @@ impl<'m> Simulator<'m> {
                     operation: operation.name.clone(),
                 })
             }
-            Expr::Index { .. } => {
-                let (res, indices) = self.indexed_resource(expr, frame)?;
-                let flat = self.state.flatten_indices(res, &indices)?;
-                Ok(Place::Resource { res: res.id, flat })
-            }
+            Expr::Index { .. } => self.indexed_place(expr, frame),
             _ => Err(SimError::NotAnLvalue {
                 operation: self.model.operation(frame.op).name.clone(),
             }),
         }
     }
 
-    /// Resolves `mem[i][j]` chains to a resource and index list.
-    fn indexed_resource(
-        &mut self,
-        expr: &Expr,
-        frame: &mut Frame<'_>,
-    ) -> Result<(&'m Resource, Vec<i64>), SimError> {
-        let mut indices_rev = Vec::new();
+    /// Resolves a `mem[i][j]` chain to its resource and flat element.
+    /// Indices evaluate outermost first; up to eight are held in a fixed
+    /// buffer.
+    fn indexed_place(&mut self, expr: &Expr, frame: &mut Frame<'_>) -> Result<Place, SimError> {
+        let mut n = 0;
         let mut cur = expr;
-        loop {
-            match cur {
-                Expr::Index { base, index } => {
-                    let idx = self.eval_expr_interp(index, frame)?;
-                    indices_rev.push(idx);
-                    cur = base;
-                }
-                Expr::Name(id) => {
-                    let res = self.model.resource_by_name(&id.name).ok_or_else(|| {
-                        SimError::UnknownName {
-                            name: id.name.clone(),
-                            operation: self.model.operation(frame.op).name.clone(),
-                        }
-                    })?;
-                    indices_rev.reverse();
-                    return Ok((res, indices_rev));
-                }
-                _ => {
-                    return Err(SimError::NotAnLvalue {
-                        operation: self.model.operation(frame.op).name.clone(),
-                    });
-                }
-            }
+        while let Expr::Index { base, .. } = cur {
+            n += 1;
+            cur = base;
         }
+        let mut buf = [0i64; 8];
+        let mut spill = Vec::new();
+        let indices: &mut [i64] = if n <= buf.len() {
+            &mut buf[..n]
+        } else {
+            spill.resize(n, 0);
+            &mut spill
+        };
+        let mut cur = expr;
+        for slot in indices.iter_mut().rev() {
+            let Expr::Index { base, index } = cur else { unreachable!("counted above") };
+            *slot = self.eval_expr_interp(index, frame)?;
+            cur = base;
+        }
+        let Expr::Name(id) = cur else {
+            return Err(SimError::NotAnLvalue {
+                operation: self.model.operation(frame.op).name.clone(),
+            });
+        };
+        let res = self.model.resource_by_name(&id.name).ok_or_else(|| SimError::UnknownName {
+            name: id.name.clone(),
+            operation: self.model.operation(frame.op).name.clone(),
+        })?;
+        let flat = self.state.flatten_indices(res, indices)?;
+        Ok(Place::Resource { res: res.id, flat })
     }
 
     /// The place an operand operation's EXPRESSION refers to (for writes
@@ -720,13 +671,13 @@ impl<'m> Simulator<'m> {
             .expression
             .as_ref()
             .ok_or_else(|| SimError::NotAnLvalue { operation: operation.name.clone() })?;
-        let mut child_frame = Frame::new(child.op, child.variant, Some(child));
+        let mut child_frame = self.frame(child.op, Some(child));
         self.eval_place(expr, &mut child_frame)
     }
 
-    fn read_place(&mut self, place: Place, frame: &Frame<'_>) -> Result<i64, SimError> {
+    fn read_place(&mut self, place: Place) -> Result<i64, SimError> {
         match place {
-            Place::Local(idx) => Ok(frame.locals[idx].1),
+            Place::Local(idx) => Ok(self.interp_locals[idx].1),
             Place::Resource { res, flat } => {
                 let value =
                     self.state.read_flat(res, flat).ok_or_else(|| SimError::IndexOutOfBounds {
@@ -740,15 +691,10 @@ impl<'m> Simulator<'m> {
         }
     }
 
-    fn write_place(
-        &mut self,
-        place: Place,
-        value: i64,
-        frame: &mut Frame<'_>,
-    ) -> Result<(), SimError> {
+    fn write_place(&mut self, place: Place, value: i64) -> Result<(), SimError> {
         match place {
             Place::Local(idx) => {
-                frame.locals[idx].1 = value;
+                self.interp_locals[idx].1 = value;
                 Ok(())
             }
             Place::Resource { res, flat } => {

@@ -16,13 +16,37 @@
 //!   op so runtime error behavior matches the tree-walking backends
 //!   exactly.
 //!
+//! Two further passes shape the code the cycle loop runs:
+//!
+//! * **Call inlining.** A bound child instance without an ACTIVATION is
+//!   spliced into its parent behind an `Enter` marker (the statistics
+//!   bump and Exec event the call would have made) and a `ZeroLocals`
+//!   that gives it fresh locals. An *unbound* call — an operation invoked
+//!   by name with no decoded operand — is spliced the same way unless its
+//!   callee is a decode root (which must fetch and decode at run time).
+//!   Unbound callees nest at most [`INLINE_DEPTH_MAX`] deep; a deeper (for
+//!   instance recursive) call stays an `InvokeUnbound`, and a callee with
+//!   an ACTIVATION stays an out-of-line child call so its plan runs after
+//!   its behavior.
+//! * **Operand-form superinstructions.** `Const·Binary`,
+//!   `ReadLocal·Const·Binary` and `ReadScalar·Const·Binary` each become
+//!   one micro-op (`BinK`, `LocalBinK`, `ScalarBinK`), and a `JumpIfZero`
+//!   right after one of them is folded in too (`…Jz`). A window never
+//!   spans a jump target, and the fused op reads, probes and fails in the
+//!   order the separate ops did.
+//!
 //! The cycle loop then dispatches over a contiguous op array with zero
-//! name resolution and zero tree traversal. Activation scheduling,
-//! pipeline intrinsics, tracing and statistics all reuse the shared
-//! engine paths, so `State::digest` and mode-independent `SimStats`
-//! stay byte-identical across all three modes (enforced by
-//! `lisa-conform`'s three-way lockstep oracle).
+//! name resolution and zero tree traversal. Bound instances live in the
+//! simulator's [`OpsCode`] table and are named by a `Copy` [`InstId`];
+//! the cycle loop borrows routines from that table (taken out of the
+//! simulator for the length of a step), so it touches no reference
+//! count and allocates nothing. Activation scheduling, pipeline
+//! intrinsics, tracing and statistics all reuse the shared engine paths,
+//! so `State::digest` and mode-independent `SimStats` stay
+//! byte-identical across all three modes (enforced by `lisa-conform`'s
+//! three-way lockstep oracle).
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use lisa_bits::Bits;
@@ -33,14 +57,14 @@ use lisa_isa::Decoded;
 use crate::compiled::{
     lower_act_expr, Builtin, CompiledTables, LBlock, LExpr, LPlace, LStmt, PipeOp,
 };
-use crate::engine::{ExecItem, Pending};
+use crate::engine::{Bind, ExecItem, Pending};
 use crate::eval::{apply_binop, apply_compound, saturate};
 use crate::fasthash::FastMap;
 use crate::{SimError, Simulator, State};
 
 /// One flat micro-operation. Value-producing ops push onto an operand
 /// stack; jump targets are absolute indices into the routine's code.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum MicroOp {
     /// Push a constant (also the result of all translate-time folding).
     Const(i64),
@@ -68,6 +92,49 @@ pub(crate) enum MicroOp {
     Binary {
         op: BinOp,
         ctx: OpId,
+    },
+    /// `Const(k)` then `Binary`: replace the top of stack by `top op k`.
+    BinK {
+        op: BinOp,
+        k: i64,
+        ctx: OpId,
+    },
+    /// `ReadLocal(slot)`, `Const(k)`, `Binary`: push `local op k`.
+    LocalBinK {
+        slot: u16,
+        op: BinOp,
+        k: i64,
+        ctx: OpId,
+    },
+    /// `ReadScalar(res)`, `Const(k)`, `Binary`: push `res op k`.
+    ScalarBinK {
+        res: ResourceId,
+        op: BinOp,
+        k: i64,
+        ctx: OpId,
+    },
+    /// `BinK` then `JumpIfZero`: pop, jump when `top op k` is zero.
+    BinKJz {
+        op: BinOp,
+        k: i64,
+        ctx: OpId,
+        target: u32,
+    },
+    /// `LocalBinK` then `JumpIfZero`.
+    LocalBinKJz {
+        slot: u16,
+        op: BinOp,
+        k: i64,
+        ctx: OpId,
+        target: u32,
+    },
+    /// `ScalarBinK` then `JumpIfZero`.
+    ScalarBinKJz {
+        res: ResourceId,
+        op: BinOp,
+        k: i64,
+        ctx: OpId,
+        target: u32,
     },
     /// Normalize the top of stack to 0/1 (logical-op tail).
     NormBool,
@@ -148,11 +215,13 @@ pub(crate) enum MicroOp {
     },
     /// Pipeline intrinsic (shift / stall / flush), shared engine path.
     Pipe(PipeOp),
-    /// Invoke an embedded child instance routine (behavior+activation).
+    /// Invoke an embedded child routine (behavior+activation) out of
+    /// line: a bound child or unbound callee that was not spliced.
     InvokeChild(u16),
-    /// Invoke an operation with no operand binding via the engine.
+    /// Invoke an operation with no operand binding at run time: a decode
+    /// root (fetch + decode) or a callee past the inline depth.
     InvokeUnbound(OpId),
-    /// Entry marker for an inlined child instance: the per-operation
+    /// Entry marker for an inlined child or callee: the per-operation
     /// statistics bump and Exec trace event the out-of-line invocation
     /// would have produced.
     Enter(OpId),
@@ -167,13 +236,44 @@ pub(crate) enum MicroOp {
     Fail(u16),
 }
 
+impl MicroOp {
+    /// The jump target of a branching op.
+    fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            MicroOp::Jump(t)
+            | MicroOp::JumpIfZero(t)
+            | MicroOp::JumpIfNonZero(t)
+            | MicroOp::CaseJump { target: t, .. }
+            | MicroOp::BinKJz { target: t, .. }
+            | MicroOp::LocalBinKJz { target: t, .. }
+            | MicroOp::ScalarBinKJz { target: t, .. } => Some(t),
+            _ => None,
+        }
+    }
+
+    /// The local slot an op addresses (the first slot for `ZeroLocals`).
+    fn slot_mut(&mut self) -> Option<&mut u16> {
+        match self {
+            MicroOp::ReadLocal(s)
+            | MicroOp::StoreLocal(s)
+            | MicroOp::StoreLocalWrapped { slot: s, .. }
+            | MicroOp::RmwLocal { slot: s, .. }
+            | MicroOp::IncDecLocal { slot: s, .. }
+            | MicroOp::ZeroLocals { base: s, .. }
+            | MicroOp::LocalBinK { slot: s, .. }
+            | MicroOp::LocalBinKJz { slot: s, .. } => Some(s),
+            _ => None,
+        }
+    }
+}
+
 /// A translated routine: flat code plus the tables it references.
 #[derive(Debug)]
 pub(crate) struct OpsRoutine {
     pub(crate) code: Vec<MicroOp>,
     pub(crate) n_locals: u16,
     pub(crate) max_stack: usize,
-    /// Child instances invoked by `InvokeChild`, in emission order.
+    /// Child routines invoked by `InvokeChild`, in emission order.
     pub(crate) children: Vec<ChildInvoke>,
     /// Errors referenced by `Fail` ops.
     pub(crate) errors: Vec<SimError>,
@@ -182,10 +282,10 @@ pub(crate) struct OpsRoutine {
 }
 
 /// A pre-lowered ACTIVATION section: target names resolved to operation
-/// ids (with their decoded bindings and translated routines), delays
-/// precomputed from static stage assignments, pipeline intrinsics parsed,
-/// and conditions lowered to micro-op code — the string matching the
-/// interpretive scheduler performs per cycle all happens once here.
+/// ids (bound targets to interned instances), delays precomputed from
+/// static stage assignments, pipeline intrinsics parsed, and conditions
+/// lowered to micro-op code — the string matching the interpretive
+/// scheduler performs per cycle all happens once here.
 #[derive(Debug)]
 pub(crate) struct ActPlan {
     pub(crate) steps: Vec<ActStep>,
@@ -218,61 +318,129 @@ pub(crate) struct ActTarget {
     /// The activating operation (event attribution).
     pub(crate) from: OpId,
     pub(crate) op: OpId,
-    /// Operand binding carried to the scheduled item, if any.
-    pub(crate) decoded: Option<Arc<Decoded>>,
-    /// Pre-translated routine for bound zero-delay targets (the
-    /// behavior-context drain runs it without a cache probe).
-    pub(crate) routine: Option<Arc<OpsRoutine>>,
+    /// The interned instance (operand binding plus translated routine)
+    /// the scheduled item carries, when the target is bound.
+    pub(crate) inst: Option<InstId>,
     /// Spatial distance plus explicit `;` delay, both static.
     pub(crate) delay: u32,
     /// Target pipeline stage when the operation is pipelined.
     pub(crate) stage: Option<(PipelineId, usize)>,
 }
 
-/// A bound child operand: the decoded instance and its routine.
+/// A child routine run in place of `InvokeChild`.
 #[derive(Debug)]
 pub(crate) struct ChildInvoke {
-    pub(crate) decoded: Arc<Decoded>,
-    pub(crate) routine: Arc<OpsRoutine>,
+    pub(crate) op: OpId,
+    pub(crate) variant: usize,
+    pub(crate) routine: OpsRoutine,
 }
 
-/// Per-simulator translation caches for ops mode.
-#[derive(Debug, Default)]
-pub(crate) struct OpsTables {
+/// Handle of an interned bound instance in a simulator's [`OpsCode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct InstId(u32);
+
+/// A bound instance: the decoded operand tree and its routine.
+#[derive(Debug)]
+pub(crate) struct Inst {
+    pub(crate) decoded: Arc<Decoded>,
+    pub(crate) routine: OpsRoutine,
+}
+
+/// Per-simulator code tables for ops mode. The cycle loop only reads
+/// them: a step takes them out of the simulator and borrows routines
+/// from them while it mutates the machine state.
+#[derive(Debug)]
+pub(crate) struct OpsCode {
     /// Default-variant routine per operation id (no operand binding),
     /// shared through the model's [`crate::Prepared`].
-    pub(crate) unbound: Arc<[Arc<OpsRoutine>]>,
-    /// Instance routines keyed by `Arc<Decoded>` pointer identity. The
-    /// held `Arc` pins the allocation so keys can never be reused while
-    /// an entry is live.
-    pub(crate) instances: FastMap<usize, (Arc<Decoded>, Arc<OpsRoutine>)>,
-    /// Fused decode+translate cache for decode-root fetches: one lookup
-    /// replaces the word-cache probe plus the instance-cache probe.
-    pub(crate) words: FastMap<u128, (Arc<Decoded>, Arc<OpsRoutine>)>,
+    unbound: Arc<[OpsRoutine]>,
+    /// Interned bound instances, indexed by [`InstId`].
+    insts: Vec<Inst>,
+    /// Decode-root word → its instance: one probe replaces the decode
+    /// cache lookup plus the routine lookup.
+    words: FastMap<u128, InstId>,
+}
+
+/// Instances translated while the code tables are borrowed (a cache
+/// miss inside a step). Their ids continue after the committed ones;
+/// they join [`OpsCode`] when the step ends.
+#[derive(Debug, Default)]
+struct Staged {
+    insts: Vec<Arc<Inst>>,
+    words: FastMap<u128, InstId>,
+}
+
+/// Ops-mode scratch owned by the machine side of the simulator.
+#[derive(Debug, Default)]
+pub(crate) struct OpsScratch {
     /// Recycled execution frames (locals + operand stack), so nested
     /// routine invocations allocate nothing in the steady state.
-    pub(crate) frames: Vec<OpsFrame>,
+    frames: Vec<OpsFrame>,
     /// Recycled target-index buffers for behavior-context plan drains.
-    pub(crate) act_scratch: Vec<Vec<u16>>,
+    act: Vec<Vec<u16>>,
+    /// Cache misses of the current step.
+    staged: Staged,
 }
 
 /// One pooled execution frame: the capacity persists across invocations.
 #[derive(Debug, Default)]
-pub(crate) struct OpsFrame {
+struct OpsFrame {
     locals: Vec<i64>,
     stack: Vec<i64>,
 }
 
-/// Safety valve for callers that mint transient `Arc<Decoded>` values
-/// (e.g. repeated `execute_decoded`): beyond this the caches reset.
+/// Safety valve for callers that mint transient bindings (e.g. repeated
+/// `execute_decoded`): beyond this many instances the tables reset.
 const OPS_CACHE_MAX: usize = 1 << 16;
 
-impl OpsTables {
-    /// Empty per-simulator caches over the model's shared unbound
+impl OpsCode {
+    /// Empty per-simulator tables over the model's shared unbound
     /// routines.
-    pub(crate) fn new(unbound: Arc<[Arc<OpsRoutine>]>) -> OpsTables {
-        OpsTables { unbound, ..OpsTables::default() }
+    pub(crate) fn new(unbound: Arc<[OpsRoutine]>) -> OpsCode {
+        OpsCode { unbound, insts: Vec::new(), words: FastMap::default() }
     }
+}
+
+/// A borrowed instance, or a staged one held for the rest of the step.
+enum InstRef<'c> {
+    Code(&'c Inst),
+    Staged(Arc<Inst>),
+}
+
+impl Deref for InstRef<'_> {
+    type Target = Inst;
+    fn deref(&self) -> &Inst {
+        match self {
+            InstRef::Code(i) => i,
+            InstRef::Staged(i) => i,
+        }
+    }
+}
+
+/// A routine to run: borrowed from the code tables, an instance's, or
+/// translated for a one-off binding.
+enum Run<'c> {
+    Code(&'c OpsRoutine),
+    Inst(InstRef<'c>),
+    Owned(OpsRoutine),
+}
+
+impl Deref for Run<'_> {
+    type Target = OpsRoutine;
+    fn deref(&self) -> &OpsRoutine {
+        match self {
+            Run::Code(r) => r,
+            Run::Inst(i) => &i.routine,
+            Run::Owned(r) => r,
+        }
+    }
+}
+
+/// The guard-free variant an operation runs with no operand binding.
+pub(crate) fn default_variant(model: &Model, op: OpId) -> usize {
+    let operation = model.operation(op);
+    let choices = vec![None; operation.groups.len()];
+    operation.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0)
 }
 
 /// Translates the default-variant routine of every operation.
@@ -280,16 +448,22 @@ pub(crate) fn translate_unbound(
     model: &Model,
     state: &State,
     tables: &CompiledTables,
-) -> Arc<[Arc<OpsRoutine>]> {
-    model
+) -> Arc<[OpsRoutine]> {
+    let env = Env { model, state, tables };
+    // Unbound routines have no operand binding, so no bound instance
+    // arises to intern.
+    let mut staged = Staged::default();
+    let mut interner = Interner { base: 0, staged: &mut staged };
+    let routines: Arc<[OpsRoutine]> = model
         .operations()
         .iter()
         .map(|op| {
-            let choices = vec![None; op.groups.len()];
-            let variant = op.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0);
-            Arc::new(translate_routine(model, state, tables, op.id, variant, None))
+            let variant = default_variant(model, op.id);
+            translate_routine(env, op.id, variant, None, 0, &mut interner)
         })
-        .collect()
+        .collect();
+    debug_assert!(staged.insts.is_empty(), "unbound routines intern no instance");
+    routines
 }
 
 // ---------------------------------------------------------------------------
@@ -302,6 +476,32 @@ pub(crate) fn translate_unbound(
 struct Ctx<'d> {
     op: OpId,
     decoded: Option<&'d Decoded>,
+}
+
+/// The read-only inputs of translation.
+#[derive(Clone, Copy)]
+struct Env<'e> {
+    model: &'e Model,
+    /// Only the shape is read (index flattening).
+    state: &'e State,
+    tables: &'e CompiledTables,
+}
+
+/// Where translation interns the bound instances it meets (activation
+/// targets): into the staging area, after `base` committed instances.
+struct Interner<'s> {
+    base: usize,
+    staged: &'s mut Staged,
+}
+
+impl Interner<'_> {
+    /// Translates a bound instance and stages it under a fresh id.
+    fn intern(&mut self, env: Env<'_>, decoded: &Arc<Decoded>) -> InstId {
+        let routine = translate_routine(env, decoded.op, decoded.variant, Some(decoded), 0, self);
+        let id = InstId((self.base + self.staged.insts.len()) as u32);
+        self.staged.insts.push(Arc::new(Inst { decoded: Arc::clone(decoded), routine }));
+        id
+    }
 }
 
 /// A place resolved as far as translate time allows.
@@ -319,10 +519,11 @@ struct CtlFrame {
     continues: Vec<usize>,
 }
 
-struct Emitter<'m, 'e> {
-    model: &'m Model,
-    state: &'e State,
-    tables: &'e CompiledTables,
+struct Emitter<'e, 'i, 's> {
+    env: Env<'e>,
+    interner: &'i mut Interner<'s>,
+    /// Unbound callees this routine is nested in (the inline depth).
+    call_depth: usize,
     code: Vec<MicroOp>,
     children: Vec<ChildInvoke>,
     errors: Vec<SimError>,
@@ -334,46 +535,59 @@ struct Emitter<'m, 'e> {
     max_stack: usize,
 }
 
+impl<'e, 'i, 's> Emitter<'e, 'i, 's> {
+    fn new(env: Env<'e>, interner: &'i mut Interner<'s>, call_depth: usize) -> Self {
+        Emitter {
+            env,
+            interner,
+            call_depth,
+            code: Vec::new(),
+            children: Vec::new(),
+            errors: Vec::new(),
+            frames: Vec::new(),
+            end_patches: Vec::new(),
+            depth: 0,
+            max_stack: 0,
+        }
+    }
+}
+
+/// Unbound callees nest at most this deep inside one routine; a deeper
+/// call (a recursive callee, say) stays an `InvokeUnbound`.
+const INLINE_DEPTH_MAX: usize = 4;
+
 /// Translates one `(operation, variant)` behavior, specialized against
 /// `decoded` when a binding exists. Infallible: anything that would
 /// error at run time in the tree-walking backends becomes a positioned
-/// `Fail` op.
-pub(crate) fn translate_routine(
-    model: &Model,
-    state: &State,
-    tables: &CompiledTables,
+/// `Fail` op. `call_depth` counts the unbound callees it is nested in.
+fn translate_routine(
+    env: Env<'_>,
     op: OpId,
     variant: usize,
     decoded: Option<&Decoded>,
+    call_depth: usize,
+    interner: &mut Interner<'_>,
 ) -> OpsRoutine {
-    let idx = tables.slot(op, variant);
-    let mut e = Emitter {
-        model,
-        state,
-        tables,
-        code: Vec::new(),
-        children: Vec::new(),
-        errors: Vec::new(),
-        frames: Vec::new(),
-        end_patches: Vec::new(),
-        depth: 0,
-        max_stack: 0,
-    };
-    if let Some(block) = tables.behaviors[idx].as_ref() {
+    let idx = env.tables.slot(op, variant);
+    let mut e = Emitter::new(env, interner, call_depth);
+    if let Some(block) = env.tables.behaviors[idx].as_ref() {
         e.block(block, Ctx { op, decoded });
     }
     let end = e.here();
     for j in std::mem::take(&mut e.end_patches) {
         e.patch_to(j, end);
     }
-    inline_children(OpsRoutine {
-        code: e.code,
-        n_locals: tables.locals_count[idx],
-        max_stack: e.max_stack,
-        children: e.children,
-        errors: e.errors,
-        act: translate_act_plan(model, state, tables, op, variant, decoded),
-    })
+    let (code, children, errors, max_stack) = (e.code, e.children, e.errors, e.max_stack);
+    let mut routine = inline_children(OpsRoutine {
+        code,
+        n_locals: env.tables.locals_count[idx],
+        max_stack,
+        children,
+        errors,
+        act: translate_act_plan(env, op, variant, decoded, interner),
+    });
+    routine.code = fuse(std::mem::take(&mut routine.code));
+    routine
 }
 
 /// Flattened-size cap: beyond this, child invocations stay as calls
@@ -392,21 +606,17 @@ const INLINE_CODE_MAX: usize = 1 << 14;
 /// bottom-up for free: children are fully translated (and themselves
 /// flattened) before the parent routine is assembled.
 fn inline_children(r: OpsRoutine) -> OpsRoutine {
-    let mut new_len = 0usize;
+    let splices = |c: &ChildInvoke| c.routine.act.is_none();
+    let mut new_len = r.code.len();
     let mut total_locals = r.n_locals as usize;
-    let mut any = false;
-    for op in &r.code {
-        new_len += 1;
-        if let MicroOp::InvokeChild(k) = op {
-            let child = &r.children[*k as usize].routine;
-            if child.act.is_none() {
-                any = true;
-                new_len += child.code.len() + usize::from(child.n_locals > 0);
-                total_locals += child.n_locals as usize;
-            }
-        }
+    for c in r.children.iter().filter(|c| splices(c)) {
+        new_len += c.routine.code.len() + usize::from(c.routine.n_locals > 0);
+        total_locals += c.routine.n_locals as usize;
     }
-    if !any || new_len > INLINE_CODE_MAX || total_locals > u16::MAX as usize {
+    if !r.children.iter().any(splices)
+        || new_len > INLINE_CODE_MAX
+        || total_locals > u16::MAX as usize
+    {
         return r;
     }
 
@@ -427,82 +637,55 @@ fn inline_children(r: OpsRoutine) -> OpsRoutine {
     new_pos.push(at);
 
     // Pass 2: emit, relocating parent jumps through `new_pos` and child
-    // jumps/slots/tables by their splice bases.
+    // jumps/slots/tables by their splice bases. Every `InvokeChild(k)`
+    // occurs once, so each child is moved out exactly once.
+    let mut sites: Vec<Option<ChildInvoke>> = r.children.into_iter().map(Some).collect();
     let mut code: Vec<MicroOp> = Vec::with_capacity(new_len);
     let mut children: Vec<ChildInvoke> = Vec::new();
     let mut errors = r.errors;
     let mut local_base = r.n_locals;
     let mut max_child_stack = 0usize;
-    for op in &r.code {
-        match op {
-            MicroOp::Jump(t) => code.push(MicroOp::Jump(new_pos[*t as usize])),
-            MicroOp::JumpIfZero(t) => code.push(MicroOp::JumpIfZero(new_pos[*t as usize])),
-            MicroOp::JumpIfNonZero(t) => {
-                code.push(MicroOp::JumpIfNonZero(new_pos[*t as usize]));
+    for &op in &r.code {
+        let MicroOp::InvokeChild(k) = op else {
+            let mut op = op;
+            if let Some(t) = op.target_mut() {
+                *t = new_pos[*t as usize];
             }
-            MicroOp::CaseJump { value, target } => {
-                code.push(MicroOp::CaseJump { value: *value, target: new_pos[*target as usize] });
-            }
-            MicroOp::InvokeChild(k) => {
-                let site = &r.children[*k as usize];
-                if site.routine.act.is_some() {
-                    let nk = children.len() as u16;
-                    children.push(ChildInvoke {
-                        decoded: Arc::clone(&site.decoded),
-                        routine: Arc::clone(&site.routine),
-                    });
-                    code.push(MicroOp::InvokeChild(nk));
-                    continue;
-                }
-                let child = &site.routine;
-                code.push(MicroOp::Enter(site.decoded.op));
-                if child.n_locals > 0 {
-                    code.push(MicroOp::ZeroLocals { base: local_base, n: child.n_locals });
-                }
-                let base = code.len() as u32;
-                let err_base = errors.len() as u16;
-                let child_base = children.len() as u16;
-                errors.extend(child.errors.iter().cloned());
-                children.extend(child.children.iter().map(|c| ChildInvoke {
-                    decoded: Arc::clone(&c.decoded),
-                    routine: Arc::clone(&c.routine),
-                }));
-                max_child_stack = max_child_stack.max(child.max_stack);
-                for cop in &child.code {
-                    code.push(match cop {
-                        MicroOp::ReadLocal(s) => MicroOp::ReadLocal(s + local_base),
-                        MicroOp::StoreLocal(s) => MicroOp::StoreLocal(s + local_base),
-                        MicroOp::StoreLocalWrapped { slot, width, signed } => {
-                            MicroOp::StoreLocalWrapped {
-                                slot: slot + local_base,
-                                width: *width,
-                                signed: *signed,
-                            }
-                        }
-                        MicroOp::RmwLocal { slot, op, ctx } => {
-                            MicroOp::RmwLocal { slot: slot + local_base, op: *op, ctx: *ctx }
-                        }
-                        MicroOp::IncDecLocal { slot, delta } => {
-                            MicroOp::IncDecLocal { slot: slot + local_base, delta: *delta }
-                        }
-                        MicroOp::ZeroLocals { base: b, n } => {
-                            MicroOp::ZeroLocals { base: b + local_base, n: *n }
-                        }
-                        MicroOp::Jump(t) => MicroOp::Jump(t + base),
-                        MicroOp::JumpIfZero(t) => MicroOp::JumpIfZero(t + base),
-                        MicroOp::JumpIfNonZero(t) => MicroOp::JumpIfNonZero(t + base),
-                        MicroOp::CaseJump { value, target } => {
-                            MicroOp::CaseJump { value: *value, target: target + base }
-                        }
-                        MicroOp::InvokeChild(ck) => MicroOp::InvokeChild(ck + child_base),
-                        MicroOp::Fail(fk) => MicroOp::Fail(fk + err_base),
-                        other => other.clone(),
-                    });
-                }
-                local_base += child.n_locals;
-            }
-            other => code.push(other.clone()),
+            code.push(op);
+            continue;
+        };
+        let site = sites[k as usize].take().expect("each child is invoked once");
+        if site.routine.act.is_some() {
+            code.push(MicroOp::InvokeChild(children.len() as u16));
+            children.push(site);
+            continue;
         }
+        let child = site.routine;
+        code.push(MicroOp::Enter(site.op));
+        if child.n_locals > 0 {
+            code.push(MicroOp::ZeroLocals { base: local_base, n: child.n_locals });
+        }
+        let base = code.len() as u32;
+        let err_base = errors.len() as u16;
+        let child_base = children.len() as u16;
+        errors.extend(child.errors);
+        children.extend(child.children);
+        max_child_stack = max_child_stack.max(child.max_stack);
+        for mut cop in child.code {
+            if let Some(t) = cop.target_mut() {
+                *t += base;
+            }
+            if let Some(s) = cop.slot_mut() {
+                *s += local_base;
+            }
+            match &mut cop {
+                MicroOp::InvokeChild(ck) => *ck += child_base,
+                MicroOp::Fail(fk) => *fk += err_base,
+                _ => {}
+            }
+            code.push(cop);
+        }
+        local_base += child.n_locals;
     }
     OpsRoutine {
         code,
@@ -514,24 +697,90 @@ fn inline_children(r: OpsRoutine) -> OpsRoutine {
     }
 }
 
+/// The superinstruction pass: fuses `Const·Binary`,
+/// `ReadLocal·Const·Binary` and `ReadScalar·Const·Binary`, each with an
+/// optional trailing `JumpIfZero`. No window spans a jump target (a jump
+/// into the middle of one must still land on its own op), and jumps are
+/// relocated to the fused positions.
+fn fuse(mut code: Vec<MicroOp>) -> Vec<MicroOp> {
+    let mut is_target = vec![false; code.len() + 1];
+    for op in &mut code {
+        if let Some(t) = op.target_mut() {
+            is_target[*t as usize] = true;
+        }
+    }
+    // A window `code[i..i + len]` may fuse when none of its ops but the
+    // first is a jump target.
+    let free = |i: usize, len: usize| !is_target[i + 1..i + len].iter().any(|&t| t);
+    let mut out = Vec::with_capacity(code.len());
+    let mut new_pos = vec![0u32; code.len() + 1];
+    let mut i = 0;
+    while i < code.len() {
+        let at = out.len() as u32;
+        let window = (code[i], code.get(i + 1).copied(), code.get(i + 2).copied());
+        let (fused, len) = match window {
+            (
+                MicroOp::ReadLocal(slot),
+                Some(MicroOp::Const(k)),
+                Some(MicroOp::Binary { op, ctx }),
+            ) if free(i, 3) => (MicroOp::LocalBinK { slot, op, k, ctx }, 3),
+            (
+                MicroOp::ReadScalar(res),
+                Some(MicroOp::Const(k)),
+                Some(MicroOp::Binary { op, ctx }),
+            ) if free(i, 3) => (MicroOp::ScalarBinK { res, op, k, ctx }, 3),
+            (MicroOp::Const(k), Some(MicroOp::Binary { op, ctx }), _) if free(i, 2) => {
+                (MicroOp::BinK { op, k, ctx }, 2)
+            }
+            (op, _, _) => (op, 1),
+        };
+        let (fused, len) = match (fused, code.get(i + len)) {
+            (MicroOp::BinK { op, k, ctx }, Some(&MicroOp::JumpIfZero(target)))
+                if free(i, len + 1) =>
+            {
+                (MicroOp::BinKJz { op, k, ctx, target }, len + 1)
+            }
+            (MicroOp::LocalBinK { slot, op, k, ctx }, Some(&MicroOp::JumpIfZero(target)))
+                if free(i, len + 1) =>
+            {
+                (MicroOp::LocalBinKJz { slot, op, k, ctx, target }, len + 1)
+            }
+            (MicroOp::ScalarBinK { res, op, k, ctx }, Some(&MicroOp::JumpIfZero(target)))
+                if free(i, len + 1) =>
+            {
+                (MicroOp::ScalarBinKJz { res, op, k, ctx, target }, len + 1)
+            }
+            (fused, _) => (fused, len),
+        };
+        new_pos[i..i + len].fill(at);
+        out.push(fused);
+        i += len;
+    }
+    new_pos[code.len()] = out.len() as u32;
+    for op in &mut out {
+        if let Some(t) = op.target_mut() {
+            *t = new_pos[*t as usize];
+        }
+    }
+    out
+}
+
 /// Lowers the `(operation, variant)` ACTIVATION section to a plan, when
 /// one exists. Resolution order matches the interpretive scheduler
 /// exactly: group of the activating operation first, then operation by
 /// name; pipeline intrinsics are recognised by their first path segment.
 fn translate_act_plan(
-    model: &Model,
-    state: &State,
-    tables: &CompiledTables,
+    env: Env<'_>,
     op: OpId,
     variant: usize,
     decoded: Option<&Decoded>,
+    interner: &mut Interner<'_>,
 ) -> Option<ActPlan> {
     let activation =
-        model.operation(op).variants.get(variant).and_then(|v| v.activation.as_ref())?;
+        env.model.operation(op).variants.get(variant).and_then(|v| v.activation.as_ref())?;
     let mut b = PlanBuilder {
-        model,
-        state,
-        tables,
+        env,
+        interner,
         op,
         decoded,
         targets: Vec::new(),
@@ -542,10 +791,9 @@ fn translate_act_plan(
     Some(ActPlan { steps, targets: b.targets, conds: b.conds, errors: b.errors })
 }
 
-struct PlanBuilder<'m, 'e> {
-    model: &'m Model,
-    state: &'e State,
-    tables: &'e CompiledTables,
+struct PlanBuilder<'e, 'i, 's> {
+    env: Env<'e>,
+    interner: &'i mut Interner<'s>,
     op: OpId,
     decoded: Option<&'e Decoded>,
     targets: Vec<ActTarget>,
@@ -553,7 +801,7 @@ struct PlanBuilder<'m, 'e> {
     errors: Vec<SimError>,
 }
 
-impl PlanBuilder<'_, '_> {
+impl PlanBuilder<'_, '_, '_> {
     fn steps(&mut self, nodes: &[ActNode]) -> Vec<ActStep> {
         nodes.iter().map(|n| self.node(n)).collect()
     }
@@ -621,9 +869,10 @@ impl PlanBuilder<'_, '_> {
     /// name — the interpretive `activate_name` order) and precomputes
     /// its delay from the static stage assignments.
     fn activate(&mut self, name: &str, extra_delay: u32) -> ActStep {
-        let operation = self.model.operation(self.op);
+        let model = self.env.model;
+        let operation = model.operation(self.op);
         let (target_op, child) = if let Some(gidx) = operation.group_index(name) {
-            match self.decoded.and_then(|d| d.group_child_rc(self.model, gidx)) {
+            match self.decoded.and_then(|d| d.group_child_rc(model, gidx)) {
                 Some(child) => (child.op, Some(child)),
                 None => {
                     return self.fail(SimError::UnboundGroup {
@@ -632,7 +881,7 @@ impl PlanBuilder<'_, '_> {
                     });
                 }
             }
-        } else if let Some(target) = self.model.operation_by_name(name) {
+        } else if let Some(target) = model.operation_by_name(name) {
             let target = target.id;
             // Direct operation activation; if the current binding has a
             // matching op-reference child, pass it along.
@@ -651,22 +900,19 @@ impl PlanBuilder<'_, '_> {
             });
         };
 
-        let target_stage = self.model.operation(target_op).stage;
+        let target_stage = model.operation(target_op).stage;
         let spatial = match (operation.stage, target_stage) {
             (_, None) => 0,
             (None, Some((_, s))) => s as u32,
             (Some((p0, s0)), Some((p1, s1))) if p0 == p1 => s1.saturating_sub(s0) as u32,
             (Some(_), Some((_, s1))) => s1 as u32,
         };
-        let routine = child
-            .as_ref()
-            .map(|c| Arc::new(translate_instance(self.model, self.state, self.tables, c)));
+        let inst = child.as_ref().map(|c| self.interner.intern(self.env, c));
         let k = self.targets.len() as u16;
         self.targets.push(ActTarget {
             from: self.op,
             op: target_op,
-            decoded: child,
-            routine,
+            inst,
             delay: spatial + extra_delay,
             stage: target_stage,
         });
@@ -678,7 +924,7 @@ impl PlanBuilder<'_, '_> {
     /// pipeline (it then resolves as an activation).
     fn pipe_intrinsic(&mut self, call: &lisa_core::ast::Call) -> Option<ActStep> {
         let first = call.path.first()?;
-        let pipeline = self.model.pipelines().iter().find(|p| p.name == first.name)?;
+        let pipeline = self.env.model.pipelines().iter().find(|p| p.name == first.name)?;
         let pid = pipeline.id;
         let path_str = || call.path.iter().map(|p| p.name.as_str()).collect::<Vec<_>>().join(".");
         let step = match call.path.len() {
@@ -707,7 +953,7 @@ impl PlanBuilder<'_, '_> {
     /// pure, so resolving the branch at translate time is observably
     /// identical to re-evaluating every cycle.
     fn cond(&mut self, expr: &lisa_core::ast::Expr) -> CondKind {
-        let lexpr = match lower_act_expr(self.model, self.op, expr) {
+        let lexpr = match lower_act_expr(self.env.model, self.op, expr) {
             Ok(l) => l,
             Err(e) => {
                 let k = self.errors.len() as u16;
@@ -715,25 +961,14 @@ impl PlanBuilder<'_, '_> {
                 return CondKind::Err(k);
             }
         };
-        let mut e = Emitter {
-            model: self.model,
-            state: self.state,
-            tables: self.tables,
-            code: Vec::new(),
-            children: Vec::new(),
-            errors: Vec::new(),
-            frames: Vec::new(),
-            end_patches: Vec::new(),
-            depth: 0,
-            max_stack: 0,
-        };
+        let mut e = Emitter::new(self.env, self.interner, 0);
         let ctx = Ctx { op: self.op, decoded: self.decoded };
         if let Some(v) = e.const_eval(&lexpr, ctx) {
             return CondKind::Const(v);
         }
         e.expr(&lexpr, ctx);
         let routine = OpsRoutine {
-            code: e.code,
+            code: fuse(e.code),
             n_locals: 0,
             max_stack: e.max_stack,
             children: e.children,
@@ -750,16 +985,6 @@ enum CondKind {
     Const(i64),
     Routine(u16),
     Err(u16),
-}
-
-/// Translates a decoded instance (its own op/variant, labels bound).
-pub(crate) fn translate_instance(
-    model: &Model,
-    state: &State,
-    tables: &CompiledTables,
-    decoded: &Decoded,
-) -> OpsRoutine {
-    translate_routine(model, state, tables, decoded.op, decoded.variant, Some(decoded))
 }
 
 /// Pure builtin evaluation shared by the translator's constant folder
@@ -786,7 +1011,7 @@ fn eval_builtin_pure(f: Builtin, vals: [i64; 2]) -> i64 {
     }
 }
 
-impl<'m, 'e> Emitter<'m, 'e> {
+impl<'e> Emitter<'e, '_, '_> {
     fn here(&self) -> u32 {
         self.code.len() as u32
     }
@@ -808,10 +1033,8 @@ impl<'m, 'e> Emitter<'m, 'e> {
     }
 
     fn patch_to(&mut self, at: usize, target: u32) {
-        match &mut self.code[at] {
-            MicroOp::Jump(t) | MicroOp::JumpIfZero(t) | MicroOp::JumpIfNonZero(t) => *t = target,
-            MicroOp::CaseJump { target: t, .. } => *t = target,
-            _ => {}
+        if let Some(t) = self.code[at].target_mut() {
+            *t = target;
         }
     }
 
@@ -824,7 +1047,7 @@ impl<'m, 'e> Emitter<'m, 'e> {
     }
 
     fn unbound_group_err(&self, op: OpId, g: u16) -> SimError {
-        let operation = self.model.operation(op);
+        let operation = self.env.model.operation(op);
         SimError::UnboundGroup {
             group: operation.groups[g as usize].name.clone(),
             operation: operation.name.clone(),
@@ -835,18 +1058,9 @@ impl<'m, 'e> Emitter<'m, 'e> {
     /// variant's coding, mirroring the tree-walk lookup.
     fn op_ref_child<'d>(&self, ctx: Ctx<'d>, target: OpId) -> Option<&'d Decoded> {
         let d = ctx.decoded?;
-        let coding = self.model.operation(ctx.op).variants.get(d.variant)?.coding.as_ref()?;
+        let coding = self.env.model.operation(ctx.op).variants.get(d.variant)?.coding.as_ref()?;
         coding.fields.iter().zip(&d.children).find_map(|(f, c)| match (&f.target, c) {
             (CodingTarget::Op(o), Some(c)) if *o == target => Some(&**c),
-            _ => None,
-        })
-    }
-
-    fn op_ref_child_arc(&self, ctx: Ctx<'_>, target: OpId) -> Option<Arc<Decoded>> {
-        let d = ctx.decoded?;
-        let coding = self.model.operation(ctx.op).variants.get(d.variant)?.coding.as_ref()?;
-        coding.fields.iter().zip(&d.children).find_map(|(f, c)| match (&f.target, c) {
-            (CodingTarget::Op(o), Some(c)) if *o == target => Some(Arc::clone(c)),
             _ => None,
         })
     }
@@ -898,7 +1112,7 @@ impl<'m, 'e> Emitter<'m, 'e> {
                 self.const_eval(if c != 0 { then_expr } else { else_expr }, ctx)
             }
             LExpr::GroupValue(g) => {
-                let child = ctx.decoded?.group_child(self.model, *g as usize)?;
+                let child = ctx.decoded?.group_child(self.env.model, *g as usize)?;
                 self.child_expr_const(child)
             }
             LExpr::OpRefValue(target) => {
@@ -924,12 +1138,12 @@ impl<'m, 'e> Emitter<'m, 'e> {
 
     /// Folds an operand child's EXPRESSION (or sole label) to a value.
     fn child_expr_const(&self, child: &Decoded) -> Option<i64> {
-        let tables = self.tables;
+        let tables = self.env.tables;
         let idx = tables.slot(child.op, child.variant);
         match tables.expressions[idx].as_ref() {
             Some(expr) => self.const_eval(expr, Ctx { op: child.op, decoded: Some(child) }),
             None => {
-                let operation = self.model.operation(child.op);
+                let operation = self.env.model.operation(child.op);
                 if operation.labels.len() == 1 {
                     Some(child.labels[0] as i64)
                 } else {
@@ -940,7 +1154,7 @@ impl<'m, 'e> Emitter<'m, 'e> {
     }
 }
 
-impl<'m, 'e> Emitter<'m, 'e> {
+impl<'e> Emitter<'e, '_, '_> {
     // -- expressions --------------------------------------------------------
 
     fn expr<'d>(&mut self, e: &'e LExpr, ctx: Ctx<'d>) {
@@ -967,7 +1181,7 @@ impl<'m, 'e> Emitter<'m, 'e> {
                 self.read_place_kind(kind);
             }
             LExpr::GroupValue(g) => {
-                match ctx.decoded.and_then(|d| d.group_child(self.model, *g as usize)) {
+                match ctx.decoded.and_then(|d| d.group_child(self.env.model, *g as usize)) {
                     Some(child) => self.child_expr(child),
                     None => {
                         let err = self.unbound_group_err(ctx.op, *g);
@@ -979,8 +1193,8 @@ impl<'m, 'e> Emitter<'m, 'e> {
                 Some(child) => self.child_expr(child),
                 None => {
                     let err = SimError::UnboundGroup {
-                        group: self.model.operation(*target).name.clone(),
-                        operation: self.model.operation(ctx.op).name.clone(),
+                        group: self.env.model.operation(*target).name.clone(),
+                        operation: self.env.model.operation(ctx.op).name.clone(),
                     };
                     self.fail(err, 1);
                 }
@@ -1055,7 +1269,7 @@ impl<'m, 'e> Emitter<'m, 'e> {
     /// Inlines an operand child's EXPRESSION (or sole label) so operand
     /// reads cost nothing beyond the ops they lower to.
     fn child_expr(&mut self, child: &Decoded) {
-        let tables = self.tables;
+        let tables = self.env.tables;
         let idx = tables.slot(child.op, child.variant);
         match tables.expressions[idx].as_ref() {
             Some(expr) => {
@@ -1064,7 +1278,7 @@ impl<'m, 'e> Emitter<'m, 'e> {
                 self.expr(expr, Ctx { op: child.op, decoded: Some(child) });
             }
             None => {
-                let operation = self.model.operation(child.op);
+                let operation = self.env.model.operation(child.op);
                 if operation.labels.len() == 1 {
                     self.emit(MicroOp::Const(child.labels[0] as i64), 1);
                 } else {
@@ -1088,7 +1302,7 @@ impl<'m, 'e> Emitter<'m, 'e> {
             LPlace::Local(slot) => PlaceKind::Local(*slot),
             LPlace::Res { res, indices } => self.res_place(*res, indices, ctx),
             LPlace::Group(g) => {
-                match ctx.decoded.and_then(|d| d.group_child(self.model, *g as usize)) {
+                match ctx.decoded.and_then(|d| d.group_child(self.env.model, *g as usize)) {
                     Some(child) => self.child_place_kind(child),
                     None => PlaceKind::Err(self.unbound_group_err(ctx.op, *g)),
                 }
@@ -1096,7 +1310,7 @@ impl<'m, 'e> Emitter<'m, 'e> {
             LPlace::OpRef(target) => match self.op_ref_child(ctx, *target) {
                 Some(child) => self.child_place_kind(child),
                 None => PlaceKind::Err(SimError::NotAnLvalue {
-                    operation: self.model.operation(ctx.op).name.clone(),
+                    operation: self.env.model.operation(ctx.op).name.clone(),
                 }),
             },
         }
@@ -1110,7 +1324,8 @@ impl<'m, 'e> Emitter<'m, 'e> {
     ) -> PlaceKind<'e, 'd> {
         let consts: Option<Vec<i64>> = indices.iter().map(|e| self.const_eval(e, ctx)).collect();
         match consts {
-            Some(vals) => match self.state.flatten_indices(self.model.resource(res), &vals) {
+            Some(vals) => match self.env.state.flatten_indices(self.env.model.resource(res), &vals)
+            {
                 Ok(flat) => PlaceKind::Flat { res, flat: flat as u32 },
                 Err(e) => PlaceKind::Err(e),
             },
@@ -1121,16 +1336,16 @@ impl<'m, 'e> Emitter<'m, 'e> {
     /// Resolves an operand child's EXPRESSION as a place (locals are not
     /// assignable through operands, matching the tree-walk).
     fn child_place_kind<'d>(&self, child: &'d Decoded) -> PlaceKind<'e, 'd> {
-        let tables = self.tables;
+        let tables = self.env.tables;
         let idx = tables.slot(child.op, child.variant);
         let Some(place) = tables.expr_places[idx].as_ref() else {
             return PlaceKind::Err(SimError::NotAnLvalue {
-                operation: self.model.operation(child.op).name.clone(),
+                operation: self.env.model.operation(child.op).name.clone(),
             });
         };
         match self.place_kind(place, Ctx { op: child.op, decoded: Some(child) }) {
             PlaceKind::Local(_) => PlaceKind::Err(SimError::NotAnLvalue {
-                operation: self.model.operation(child.op).name.clone(),
+                operation: self.env.model.operation(child.op).name.clone(),
             }),
             other => other,
         }
@@ -1162,7 +1377,7 @@ impl<'m, 'e> Emitter<'m, 'e> {
     /// Whether a resource is a one-dimensional base-0 array — eligible
     /// for the specialized indexed micro-ops.
     fn linear_1d(&self, res: ResourceId) -> bool {
-        let dims = &self.model.resource(res).dims;
+        let dims = &self.env.model.resource(res).dims;
         dims.len() == 1 && dims[0].base() == 0
     }
 
@@ -1229,16 +1444,18 @@ impl<'m, 'e> Emitter<'m, 'e> {
         }
     }
 
-    /// Embeds a bound child instance and emits its invocation.
-    fn invoke_child(&mut self, child: Arc<Decoded>) {
-        let routine = Arc::new(translate_instance(self.model, self.state, self.tables, &child));
+    /// Embeds a child routine and emits its invocation: a bound child
+    /// instance (`decoded`), or an unbound callee nested one level deeper.
+    fn invoke_child(&mut self, op: OpId, variant: usize, decoded: Option<&Decoded>) {
+        let depth = self.call_depth + usize::from(decoded.is_none());
+        let routine = translate_routine(self.env, op, variant, decoded, depth, self.interner);
         let k = self.children.len() as u16;
-        self.children.push(ChildInvoke { decoded: child, routine });
+        self.children.push(ChildInvoke { op, variant, routine });
         self.emit(MicroOp::InvokeChild(k), 0);
     }
 }
 
-impl<'m, 'e> Emitter<'m, 'e> {
+impl<'e> Emitter<'e, '_, '_> {
     // -- statements ---------------------------------------------------------
 
     fn block<'d>(&mut self, b: &'e LBlock, ctx: Ctx<'d>) {
@@ -1272,16 +1489,25 @@ impl<'m, 'e> Emitter<'m, 'e> {
             }
             LStmt::IncDec { place, delta } => self.incdec_place(place, *delta, ctx),
             LStmt::InvokeGroup(g) => {
-                match ctx.decoded.and_then(|d| d.group_child_rc(self.model, *g as usize)) {
-                    Some(child) => self.invoke_child(child),
+                match ctx.decoded.and_then(|d| d.group_child(self.env.model, *g as usize)) {
+                    Some(child) => self.invoke_child(child.op, child.variant, Some(child)),
                     None => {
                         let err = self.unbound_group_err(ctx.op, *g);
                         self.fail(err, 0);
                     }
                 }
             }
-            LStmt::InvokeOp(target) => match self.op_ref_child_arc(ctx, *target) {
-                Some(child) => self.invoke_child(child),
+            LStmt::InvokeOp(target) => match self.op_ref_child(ctx, *target) {
+                Some(child) => self.invoke_child(child.op, child.variant, Some(child)),
+                // An unbound call inlines like a child, except into a
+                // decode root (it fetches at run time) or past the depth
+                // guard.
+                None if self.env.model.operation(*target).decode_root.is_none()
+                    && self.call_depth < INLINE_DEPTH_MAX =>
+                {
+                    let variant = default_variant(self.env.model, *target);
+                    self.invoke_child(*target, variant, None);
+                }
                 None => {
                     self.emit(MicroOp::InvokeUnbound(*target), 0);
                 }
@@ -1490,7 +1716,7 @@ impl<'m, 'e> Emitter<'m, 'e> {
 /// Where activation targets land while a plan runs: the scheduler's
 /// ready list (control-step context) or a local drain buffer of target
 /// indices (behavior context, executed immediately afterwards).
-pub(crate) enum ActSink<'a> {
+enum ActSink<'a> {
     Sched(&'a mut Vec<ExecItem>),
     Local(&'a mut Vec<u16>),
 }
@@ -1506,6 +1732,20 @@ impl Simulator<'_> {
 
     fn ops_div0(&self, ctx: OpId) -> SimError {
         SimError::DivisionByZero { operation: self.model.operation(ctx).name.clone() }
+    }
+
+    /// `l op k` for the fused binary ops, failing like `Binary`.
+    #[inline]
+    fn ops_bin(&self, op: BinOp, l: i64, k: i64, ctx: OpId) -> Result<i64, SimError> {
+        apply_binop(op, l, k).map_err(|()| self.ops_div0(ctx))
+    }
+
+    /// A scalar read with its probe, as `ReadScalar` does it.
+    #[inline]
+    fn ops_read_scalar(&mut self, res: ResourceId) -> i64 {
+        let v = self.state.read_flat(res, 0).unwrap_or(0);
+        self.probe_read(res, 0);
+        v
     }
 
     /// Pops `n` indices (pushed in source order) and flattens them.
@@ -1533,7 +1773,7 @@ impl Simulator<'_> {
 
     /// Pops a recycled frame off the pool, sized for `routine`.
     fn ops_frame(&mut self, routine: &OpsRoutine) -> OpsFrame {
-        let mut f = self.ops.as_mut().and_then(|o| o.frames.pop()).unwrap_or_default();
+        let mut f = self.ops_scratch.frames.pop().unwrap_or_default();
         f.locals.clear();
         f.locals.resize(routine.n_locals as usize, 0);
         f.stack.clear();
@@ -1545,10 +1785,8 @@ impl Simulator<'_> {
 
     /// Returns a frame to the pool, keeping its capacity.
     fn ops_frame_put(&mut self, frame: OpsFrame) {
-        if let Some(o) = self.ops.as_mut() {
-            if o.frames.len() < 64 {
-                o.frames.push(frame);
-            }
+        if self.ops_scratch.frames.len() < 64 {
+            self.ops_scratch.frames.push(frame);
         }
     }
 
@@ -1567,35 +1805,40 @@ impl Simulator<'_> {
 
     /// Executes one translated routine: a tight dispatch loop over the
     /// flat op array, running in a pooled frame.
-    pub(crate) fn run_ops(&mut self, routine: &OpsRoutine) -> Result<(), SimError> {
+    fn run_ops(&mut self, code: &OpsCode, routine: &OpsRoutine) -> Result<(), SimError> {
         let mut frame = self.ops_frame(routine);
-        let res = self.run_ops_in(routine, &mut frame);
+        let res = self.run_ops_in(code, routine, &mut frame);
         self.ops_frame_put(frame);
         res
     }
 
     /// Like [`Self::run_ops`] but returns the value left on the operand
     /// stack — the ACTIVATION-condition entry point.
-    pub(crate) fn run_ops_value(&mut self, routine: &OpsRoutine) -> Result<i64, SimError> {
+    fn run_ops_value(&mut self, code: &OpsCode, routine: &OpsRoutine) -> Result<i64, SimError> {
         let mut frame = self.ops_frame(routine);
-        let res = self.run_ops_in(routine, &mut frame);
+        let res = self.run_ops_in(code, routine, &mut frame);
         let value = frame.stack.pop().unwrap_or(0);
         self.ops_frame_put(frame);
         res.map(|()| value)
     }
 
-    fn run_ops_in(&mut self, routine: &OpsRoutine, frame: &mut OpsFrame) -> Result<(), SimError> {
-        let code = &routine.code;
+    fn run_ops_in(
+        &mut self,
+        code: &OpsCode,
+        routine: &OpsRoutine,
+        frame: &mut OpsFrame,
+    ) -> Result<(), SimError> {
+        let ops = &routine.code;
         let OpsFrame { locals, stack } = frame;
         let mut pc = 0usize;
-        while let Some(op) = code.get(pc) {
+        while let Some(op) = ops.get(pc) {
             pc += 1;
             match op {
                 MicroOp::Const(v) => stack.push(*v),
                 MicroOp::ReadLocal(slot) => stack.push(locals[*slot as usize]),
                 MicroOp::ReadScalar(res) => {
-                    stack.push(self.state.read_flat(*res, 0).unwrap_or(0));
-                    self.probe_read(*res, 0);
+                    let v = self.ops_read_scalar(*res);
+                    stack.push(v);
                 }
                 MicroOp::ReadFlat { res, flat } => {
                     let flat = *flat as usize;
@@ -1637,6 +1880,34 @@ impl Simulator<'_> {
                     let l = stack.pop().unwrap_or(0);
                     let v = apply_binop(*op, l, r).map_err(|()| self.ops_div0(*ctx))?;
                     stack.push(v);
+                }
+                MicroOp::BinK { op, k, ctx } => {
+                    let l = stack.pop().unwrap_or(0);
+                    stack.push(self.ops_bin(*op, l, *k, *ctx)?);
+                }
+                MicroOp::LocalBinK { slot, op, k, ctx } => {
+                    stack.push(self.ops_bin(*op, locals[*slot as usize], *k, *ctx)?);
+                }
+                MicroOp::ScalarBinK { res, op, k, ctx } => {
+                    let l = self.ops_read_scalar(*res);
+                    stack.push(self.ops_bin(*op, l, *k, *ctx)?);
+                }
+                MicroOp::BinKJz { op, k, ctx, target } => {
+                    let l = stack.pop().unwrap_or(0);
+                    if self.ops_bin(*op, l, *k, *ctx)? == 0 {
+                        pc = *target as usize;
+                    }
+                }
+                MicroOp::LocalBinKJz { slot, op, k, ctx, target } => {
+                    if self.ops_bin(*op, locals[*slot as usize], *k, *ctx)? == 0 {
+                        pc = *target as usize;
+                    }
+                }
+                MicroOp::ScalarBinKJz { res, op, k, ctx, target } => {
+                    let l = self.ops_read_scalar(*res);
+                    if self.ops_bin(*op, l, *k, *ctx)? == 0 {
+                        pc = *target as usize;
+                    }
                 }
                 MicroOp::NormBool => {
                     let v = stack.pop().unwrap_or(0);
@@ -1770,12 +2041,12 @@ impl Simulator<'_> {
                     let child = &routine.children[*k as usize];
                     self.stats.executed_ops += 1;
                     if self.observing() {
-                        self.emit_exec(child.decoded.op);
+                        self.emit_exec(child.op);
                     }
-                    self.run_ops(&child.routine)?;
-                    self.invoke_plan(&child.routine)?;
+                    self.run_ops(code, &child.routine)?;
+                    self.invoke_plan(code, &child.routine)?;
                 }
-                MicroOp::InvokeUnbound(op) => self.invoke_unbound(*op)?,
+                MicroOp::InvokeUnbound(op) => self.ops_invoke_unbound(code, *op)?,
                 MicroOp::Enter(op) => {
                     self.stats.executed_ops += 1;
                     if self.observing() {
@@ -1792,36 +2063,71 @@ impl Simulator<'_> {
         Ok(())
     }
 
+    /// Executes an operation with no operand binding: a decode root
+    /// fetches and decodes its compared resource first (one fused probe
+    /// resolves instance and routine), anything else runs its
+    /// pre-translated default-variant routine. The ops twin of
+    /// `invoke_unbound`.
+    fn ops_invoke_unbound(&mut self, code: &OpsCode, op: OpId) -> Result<(), SimError> {
+        if let Some(root_res) = self.model.operation(op).decode_root {
+            let word = self.state.scalar(root_res).to_u128();
+            if self.observing() {
+                let event = lisa_trace::TraceEvent::Fetch {
+                    cycle: self.stats.cycles,
+                    pc: self.current_pc(),
+                    word,
+                };
+                self.emit(event);
+            }
+            let inst = self.ops_decode_word(code, word)?;
+            self.stats.executed_ops += 1;
+            if self.observing() {
+                self.emit_exec(inst.decoded.op);
+            }
+            self.run_ops(code, &inst.routine)?;
+            self.invoke_plan(code, &inst.routine)?;
+            self.stats.instructions_retired += 1;
+            return Ok(());
+        }
+        self.stats.executed_ops += 1;
+        if self.observing() {
+            self.emit_exec(op);
+        }
+        let routine = &code.unbound[op.0];
+        self.run_ops(code, routine)?;
+        self.invoke_plan(code, routine)
+    }
+
     /// Runs a routine's ACTIVATION plan in behavior context: targets are
     /// collected, then zero-delay ones execute immediately (behavior,
     /// then their own plan) in activation order — the ops-mode twin of
     /// `invoke_activation`.
-    pub(crate) fn invoke_plan(&mut self, routine: &OpsRoutine) -> Result<(), SimError> {
+    fn invoke_plan(&mut self, code: &OpsCode, routine: &OpsRoutine) -> Result<(), SimError> {
         let Some(plan) = routine.act.as_ref() else { return Ok(()) };
-        let mut out = self.ops.as_mut().and_then(|o| o.act_scratch.pop()).unwrap_or_default();
+        let mut out = self.ops_scratch.act.pop().unwrap_or_default();
         out.clear();
-        let res =
-            self.run_act_steps(plan, &plan.steps, &mut ActSink::Local(&mut out)).and_then(|()| {
+        let res = self
+            .run_act_steps(code, plan, &plan.steps, &mut ActSink::Local(&mut out))
+            .and_then(|()| {
                 for &k in out.iter() {
                     let t = &plan.targets[k as usize];
-                    match &t.routine {
-                        Some(r) => {
+                    match t.inst {
+                        Some(id) => {
+                            let inst = self.ops_inst(code, id);
                             self.stats.executed_ops += 1;
                             if self.observing() {
                                 self.emit_exec(t.op);
                             }
-                            self.run_ops(r)?;
-                            self.invoke_plan(r)?;
+                            self.run_ops(code, &inst.routine)?;
+                            self.invoke_plan(code, &inst.routine)?;
                         }
-                        None => self.invoke_unbound(t.op)?,
+                        None => self.ops_invoke_unbound(code, t.op)?,
                     }
                 }
                 Ok(())
             });
-        if let Some(o) = self.ops.as_mut() {
-            if o.act_scratch.len() < 16 {
-                o.act_scratch.push(out);
-            }
+        if self.ops_scratch.act.len() < 16 {
+            self.ops_scratch.act.push(out);
         }
         res
     }
@@ -1829,9 +2135,11 @@ impl Simulator<'_> {
     /// Walks a plan's steps, scheduling targets into `sink`. Statistics,
     /// trace events, delayed-activation bookkeeping and intrinsic
     /// handling are identical to the interpretive `run_act_nodes` /
-    /// `activate_name` pair.
-    pub(crate) fn run_act_steps(
+    /// `activate_name` pair. Scheduled items carry the target's
+    /// instance handle — no reference counting.
+    fn run_act_steps(
         &mut self,
+        code: &OpsCode,
         plan: &ActPlan,
         steps: &[ActStep],
         sink: &mut ActSink<'_>,
@@ -1850,25 +2158,16 @@ impl Simulator<'_> {
                         };
                         self.emit(event);
                     }
+                    let item = ExecItem { op: t.op, bind: t.inst.map_or(Bind::None, Bind::Inst) };
                     if t.delay == 0 {
                         match sink {
-                            ActSink::Sched(ready) => {
-                                ready.push(ExecItem {
-                                    op: t.op,
-                                    decoded: t.decoded.clone(),
-                                    routine: t.routine.clone(),
-                                });
-                            }
+                            ActSink::Sched(ready) => ready.push(item),
                             ActSink::Local(out) => out.push(*k),
                         }
                     } else {
                         self.seq += 1;
                         self.pending.push(Pending {
-                            item: ExecItem {
-                                op: t.op,
-                                decoded: t.decoded.clone(),
-                                routine: t.routine.clone(),
-                            },
+                            item,
                             pipe: t.stage,
                             remaining: t.delay,
                             seq: self.seq,
@@ -1880,177 +2179,282 @@ impl Simulator<'_> {
                     let taken = if *cond == u16::MAX {
                         true // branch was resolved at translate time
                     } else {
-                        self.run_ops_value(&plan.conds[*cond as usize])? != 0
+                        self.run_ops_value(code, &plan.conds[*cond as usize])? != 0
                     };
                     let branch = if taken { then_steps } else { else_steps };
-                    self.run_act_steps(plan, branch, sink)?;
+                    self.run_act_steps(code, plan, branch, sink)?;
                 }
                 ActStep::Switch { cond, cases, default } => {
-                    let value = self.run_ops_value(&plan.conds[*cond as usize])?;
+                    let value = self.run_ops_value(code, &plan.conds[*cond as usize])?;
                     let body =
                         cases.iter().find(|(v, _)| *v == value).map(|(_, b)| b).unwrap_or(default);
-                    self.run_act_steps(plan, body, sink)?;
+                    self.run_act_steps(code, plan, body, sink)?;
                 }
                 ActStep::Fail(k) => return Err(plan.errors[*k as usize].clone()),
             }
         }
         Ok(())
     }
+
+    /// [`crate::SimMode::Ops`] twin of `execute_item`: identical
+    /// fetch/decode bookkeeping and event order, but the behavior runs as
+    /// translated micro-op code borrowed from `code`.
+    pub(crate) fn execute_item_ops(
+        &mut self,
+        code: &OpsCode,
+        item: ExecItem,
+        ready: &mut Vec<ExecItem>,
+    ) -> Result<(), SimError> {
+        let operation = self.model.operation(item.op);
+        let routine = match (item.bind, operation.decode_root) {
+            // Activation targets carry their interned instance.
+            (Bind::Inst(id), _) => self.ops_run_as(code, self.ops_inst(code, id), item.op),
+            (Bind::Slot(_), _) => unreachable!("ops mode schedules interned instances only"),
+            (Bind::None, Some(root_res)) => {
+                let word = self.state.scalar(root_res).to_u128();
+                if self.observing() {
+                    let event = lisa_trace::TraceEvent::Fetch {
+                        cycle: self.stats.cycles,
+                        pc: self.current_pc(),
+                        word,
+                    };
+                    self.emit(event);
+                }
+                let inst = self.ops_decode_word(code, word)?;
+                self.ops_run_as(code, inst, item.op)
+            }
+            (Bind::None, None) => Run::Code(&code.unbound[item.op.0]),
+        };
+
+        if self.observing() {
+            let event = lisa_trace::TraceEvent::Exec {
+                cycle: self.stats.cycles,
+                op: item.op,
+                stage: operation.stage.map(|(p, s)| (p, s as u16)),
+                pc: self.current_pc(),
+            };
+            self.emit(event);
+        }
+
+        self.run_ops(code, &routine)?;
+
+        if let Some(plan) = routine.act.as_ref() {
+            self.run_act_steps(code, plan, &plan.steps, &mut ActSink::Sched(ready))?;
+        }
+        if operation.decode_root.is_some() {
+            self.stats.instructions_retired += 1;
+        }
+        Ok(())
+    }
+
+    /// The routine that runs `op` with `inst`'s binding: the instance's
+    /// own, or a one-off translation when the binding belongs to another
+    /// operation.
+    fn ops_run_as<'c>(&mut self, code: &OpsCode, inst: InstRef<'c>, op: OpId) -> Run<'c> {
+        if inst.decoded.op == op {
+            return Run::Inst(inst);
+        }
+        let variant = default_variant(self.model, op);
+        Run::Owned(self.ops_translating(code, |env, interner| {
+            translate_routine(env, op, variant, Some(&inst.decoded), 0, interner)
+        }))
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Caches and engine glue
+// Code tables and engine glue
 // ---------------------------------------------------------------------------
 
 impl Simulator<'_> {
-    /// The cached routine for a decoded instance, translating on miss.
-    pub(crate) fn ops_instance_routine(&mut self, decoded: &Arc<Decoded>) -> Arc<OpsRoutine> {
-        let key = Arc::as_ptr(decoded) as usize;
-        if let Some((_, routine)) = self.ops.as_ref().and_then(|o| o.instances.get(&key)) {
-            return Arc::clone(routine);
-        }
-        let tables = Arc::clone(self.compiled.as_ref().expect("ops mode has tables"));
-        let routine = Arc::new(translate_instance(self.model, &self.state, &tables, decoded));
-        if let Some(ops) = self.ops.as_mut() {
-            if ops.instances.len() >= OPS_CACHE_MAX {
-                ops.instances.clear();
+    /// Resolves an instance handle: borrowed from the committed tables,
+    /// or held from the staging area until the step ends.
+    #[inline]
+    fn ops_inst<'c>(&self, code: &'c OpsCode, id: InstId) -> InstRef<'c> {
+        let i = id.0 as usize;
+        match code.insts.get(i) {
+            Some(inst) => InstRef::Code(inst),
+            None => {
+                InstRef::Staged(Arc::clone(&self.ops_scratch.staged.insts[i - code.insts.len()]))
             }
-            ops.instances.insert(key, (Arc::clone(decoded), Arc::clone(&routine)));
         }
-        routine
     }
 
-    /// The pre-translated default-variant routine for an operation.
-    pub(crate) fn ops_unbound_routine(&self, op: OpId) -> Arc<OpsRoutine> {
-        Arc::clone(&self.ops.as_ref().expect("ops mode has tables").unbound[op.0])
+    /// Translates a bound instance into the staging area.
+    fn ops_intern(&mut self, code: &OpsCode, decoded: &Arc<Decoded>) -> InstId {
+        self.ops_translating(code, |env, interner| interner.intern(env, decoded))
     }
 
-    /// A one-off routine for bindings outside both caches (e.g. a
-    /// decoded operand executed under a different operation).
-    pub(crate) fn ops_uncached_routine(
-        &self,
-        op: OpId,
-        variant: usize,
-        decoded: Option<&Decoded>,
-    ) -> Arc<OpsRoutine> {
-        let tables = self.compiled.as_ref().expect("ops mode has tables");
-        Arc::new(translate_routine(self.model, &self.state, tables, op, variant, decoded))
+    /// Runs a translation that stages what it interns after `code`'s
+    /// committed instances.
+    fn ops_translating<R>(
+        &mut self,
+        code: &OpsCode,
+        translate: impl FnOnce(Env<'_>, &mut Interner<'_>) -> R,
+    ) -> R {
+        let tables = self.compiled.as_deref().expect("ops mode has tables");
+        let env = Env { model: self.model, state: &self.state, tables };
+        translate(
+            env,
+            &mut Interner { base: code.insts.len(), staged: &mut self.ops_scratch.staged },
+        )
     }
 
     /// Fused decode+translate for decode-root fetches: bookkeeping
     /// (decode count, cache-hit count, Decode event) matches
     /// `decode_word` exactly, but a hit costs a single map probe.
-    pub(crate) fn ops_decode_word(
+    fn ops_decode_word<'c>(
         &mut self,
+        code: &'c OpsCode,
         word: u128,
-    ) -> Result<(Arc<Decoded>, Arc<OpsRoutine>), SimError> {
+    ) -> Result<InstRef<'c>, SimError> {
         self.stats.decodes += 1;
-        let hit = self
-            .ops
-            .as_ref()
-            .and_then(|o| o.words.get(&word))
-            .map(|(d, r)| (Arc::clone(d), Arc::clone(r)));
-        let (decoded, routine, cache_hit) = match hit {
-            Some((d, r)) => {
+        let (inst, cache_hit) = match code.words.get(&word) {
+            Some(id) => {
                 self.stats.decode_cache_hits += 1;
-                (d, r, true)
+                (InstRef::Code(&code.insts[id.0 as usize]), true)
             }
-            None => {
-                let (decoded, was_hit) = if let Some(d) = self.decode_cache.get(&word) {
-                    (Arc::clone(d), true)
-                } else {
-                    let decoder = self
-                        .decoder
-                        .as_ref()
-                        .ok_or(SimError::Decode(lisa_isa::IsaError::NoDecodeRoot))?;
-                    let decoded = Arc::new(decoder.decode(word)?);
-                    self.decode_cache.insert(word, Arc::clone(&decoded));
-                    (decoded, false)
-                };
-                if was_hit {
-                    self.stats.decode_cache_hits += 1;
-                }
-                let routine = self.ops_instance_routine(&decoded);
-                if let Some(ops) = self.ops.as_mut() {
-                    if ops.words.len() >= OPS_CACHE_MAX {
-                        ops.words.clear();
-                    }
-                    ops.words.insert(word, (Arc::clone(&decoded), Arc::clone(&routine)));
-                }
-                (decoded, routine, was_hit)
-            }
+            None => self.ops_decode_miss(code, word)?,
         };
         if self.observing() {
             let event = lisa_trace::TraceEvent::Decode {
                 cycle: self.stats.cycles,
                 pc: self.current_pc(),
                 word,
-                op: decoded.op,
+                op: inst.decoded.op,
                 cache_hit,
             };
             self.emit(event);
         }
-        Ok((decoded, routine))
+        Ok(inst)
+    }
+
+    /// The miss path of [`Self::ops_decode_word`]: a word staged earlier
+    /// in this step, else decode (through the decode cache) and stage.
+    #[cold]
+    fn ops_decode_miss<'c>(
+        &mut self,
+        code: &'c OpsCode,
+        word: u128,
+    ) -> Result<(InstRef<'c>, bool), SimError> {
+        if let Some(&id) = self.ops_scratch.staged.words.get(&word) {
+            self.stats.decode_cache_hits += 1;
+            return Ok((self.ops_inst(code, id), true));
+        }
+        let (decoded, was_hit) = match self.decode_cache.get(&word) {
+            Some(d) => (Arc::clone(d), true),
+            None => {
+                let decoder = self
+                    .decoder
+                    .as_ref()
+                    .ok_or(SimError::Decode(lisa_isa::IsaError::NoDecodeRoot))?;
+                let decoded = Arc::new(decoder.decode(word)?);
+                self.decode_cache.insert(word, Arc::clone(&decoded));
+                (decoded, false)
+            }
+        };
+        if was_hit {
+            self.stats.decode_cache_hits += 1;
+        }
+        let id = self.ops_intern(code, &decoded);
+        self.ops_scratch.staged.words.insert(word, id);
+        Ok((self.ops_inst(code, id), was_hit))
+    }
+
+    /// Puts the code tables back after they were taken out, committing
+    /// the instances staged meanwhile.
+    fn ops_commit(&mut self, mut code: Box<OpsCode>) {
+        let staged = &mut self.ops_scratch.staged;
+        if !staged.insts.is_empty() {
+            code.insts.extend(staged.insts.drain(..).map(|i| {
+                Arc::into_inner(i).expect("staged instances are held only within a step")
+            }));
+            code.words.extend(staged.words.drain());
+        }
+        self.ops = Some(code);
+    }
+
+    /// Puts the code tables back at the end of a step, rebuilding them
+    /// when they outgrew [`OPS_CACHE_MAX`].
+    pub(crate) fn ops_end_step(&mut self, code: Box<OpsCode>) {
+        self.ops_commit(code);
+        if self.ops.as_ref().is_some_and(|c| c.insts.len() > OPS_CACHE_MAX) {
+            self.ops_reset();
+        }
+    }
+
+    /// Interns a binding for a scheduled item outside a step.
+    pub(crate) fn ops_bind(&mut self, decoded: &Arc<Decoded>) -> Option<InstId> {
+        let code = self.ops.take()?;
+        let id = self.ops_intern(&code, decoded);
+        self.ops_commit(code);
+        Some(id)
+    }
+
+    /// The decoded binding behind an instance handle (outside a step).
+    pub(crate) fn ops_decoded(&self, id: InstId) -> Arc<Decoded> {
+        let code = self.ops.as_ref().expect("ops mode has tables");
+        Arc::clone(&code.insts[id.0 as usize].decoded)
+    }
+
+    /// Drops every instance and word routine. Callers rebind in-flight
+    /// activations afterwards (instance handles die with the tables).
+    pub(crate) fn ops_clear(&mut self) {
+        if let Some(code) = self.ops.as_mut() {
+            code.insts.clear();
+            code.words.clear();
+        }
     }
 
     /// Eagerly translates every cached decode (called after predecode so
     /// `load_program` pays all translation cost up front).
     pub(crate) fn ops_translate_decode_cache(&mut self) {
-        if self.ops.is_none() {
-            return;
+        let Some(code) = self.ops.take() else { return };
+        let mut fresh: Vec<(u128, Arc<Decoded>)> = self
+            .decode_cache
+            .iter()
+            .filter(|(w, _)| !code.words.contains_key(*w))
+            .map(|(w, d)| (*w, Arc::clone(d)))
+            .collect();
+        fresh.sort_unstable_by_key(|(w, _)| *w);
+        for (word, d) in fresh {
+            let id = self.ops_intern(&code, &d);
+            self.ops_scratch.staged.words.insert(word, id);
         }
-        let entries: Vec<(u128, Arc<Decoded>)> =
-            self.decode_cache.iter().map(|(w, d)| (*w, Arc::clone(d))).collect();
-        for (word, d) in entries {
-            let routine = self.ops_instance_routine(&d);
-            if let Some(ops) = self.ops.as_mut() {
-                ops.words.entry(word).or_insert((d, routine));
-            }
-        }
-    }
-
-    /// Drops instance/word routines (snapshot restore replaces the
-    /// decode cache, invalidating pointer-keyed entries).
-    pub(crate) fn ops_invalidate(&mut self) {
-        if let Some(ops) = self.ops.as_mut() {
-            ops.instances.clear();
-            ops.words.clear();
-        }
+        self.ops_commit(code);
     }
 
     /// Renders the translated micro-op listing: the default-variant
     /// routine of every operation with a behavior, then one routine per
-    /// pre-decoded program word (sorted by word), with child-operand
-    /// routines nested. Returns an empty string outside ops mode.
+    /// pre-decoded program word (sorted by word), with child routines and
+    /// bound activation targets nested. Returns an empty string outside
+    /// ops mode.
     ///
     /// This is the surface the golden/determinism tests pin down: two
     /// simulators over the same model and program must render
     /// byte-identical listings.
     pub fn ops_listing(&mut self) -> String {
         let mut out = String::new();
-        if self.ops.is_none() {
-            return out;
-        }
+        self.ops_translate_decode_cache();
+        let Some(code) = self.ops.as_deref() else { return out };
         for op in self.model.operations() {
-            let routine = self.ops_unbound_routine(op.id);
+            let routine = &code.unbound[op.id.0];
             if routine.code.is_empty() {
                 continue;
             }
             out.push_str(&format!("== op {} (unbound)\n", op.name));
-            render_routine(&routine, self.model, 1, &mut out);
+            render_routine(routine, self.model, code, 1, &mut out);
         }
         let mut words: Vec<u128> = self.decode_cache.keys().copied().collect();
         words.sort_unstable();
         for word in words {
-            let d = Arc::clone(&self.decode_cache[&word]);
-            let routine = self.ops_instance_routine(&d);
+            let inst = &code.insts[code.words[&word].0 as usize];
             out.push_str(&format!(
                 "== word {:#x} op {} variant {}\n",
                 word,
-                self.model.operation(d.op).name,
-                d.variant
+                self.model.operation(inst.decoded.op).name,
+                inst.decoded.variant
             ));
-            render_routine(&routine, self.model, 1, &mut out);
+            render_routine(&inst.routine, self.model, code, 1, &mut out);
         }
         out
     }
@@ -2060,7 +2464,13 @@ impl Simulator<'_> {
 // Listing (goldens / debugging)
 // ---------------------------------------------------------------------------
 
-fn render_routine(routine: &OpsRoutine, model: &Model, indent: usize, out: &mut String) {
+fn render_routine(
+    routine: &OpsRoutine,
+    model: &Model,
+    code: &OpsCode,
+    indent: usize,
+    out: &mut String,
+) {
     let pad = "  ".repeat(indent);
     for (i, op) in routine.code.iter().enumerate() {
         out.push_str(&format!("{pad}{i:04}  {}\n", render_micro(op, model, routine)));
@@ -2068,25 +2478,26 @@ fn render_routine(routine: &OpsRoutine, model: &Model, indent: usize, out: &mut 
     for (k, child) in routine.children.iter().enumerate() {
         out.push_str(&format!(
             "{pad}child {k}: op {} variant {}\n",
-            model.operation(child.decoded.op).name,
-            child.decoded.variant
+            model.operation(child.op).name,
+            child.variant
         ));
-        render_routine(&child.routine, model, indent + 1, out);
+        render_routine(&child.routine, model, code, indent + 1, out);
     }
     if let Some(plan) = routine.act.as_ref() {
         render_act_steps(plan, &plan.steps, model, indent, out);
         for (c, cond) in plan.conds.iter().enumerate() {
             out.push_str(&format!("{pad}act cond {c}:\n"));
-            render_routine(cond, model, indent + 1, out);
+            render_routine(cond, model, code, indent + 1, out);
         }
         for (k, t) in plan.targets.iter().enumerate() {
-            if let Some(r) = t.routine.as_ref() {
+            if let Some(id) = t.inst {
+                let inst = &code.insts[id.0 as usize];
                 out.push_str(&format!(
                     "{pad}act target {k}: op {} variant {}\n",
                     model.operation(t.op).name,
-                    t.decoded.as_ref().map_or(0, |d| d.variant)
+                    inst.decoded.variant
                 ));
-                render_routine(r, model, indent + 1, out);
+                render_routine(&inst.routine, model, code, indent + 1, out);
             }
         }
     }
@@ -2153,6 +2564,18 @@ fn render_micro(op: &MicroOp, model: &Model, routine: &OpsRoutine) -> String {
         MicroOp::ReadIdx(res) => format!("read {}[idx]", res_name(res)),
         MicroOp::Unary(u) => format!("unary {u:?}"),
         MicroOp::Binary { op, .. } => format!("binop {op:?}"),
+        MicroOp::BinK { op, k, .. } => format!("binop {op:?} #{k}"),
+        MicroOp::LocalBinK { slot, op, k, .. } => format!("read_local {slot} binop {op:?} #{k}"),
+        MicroOp::ScalarBinK { res, op, k, .. } => {
+            format!("read {} binop {op:?} #{k}", res_name(res))
+        }
+        MicroOp::BinKJz { op, k, target, .. } => format!("binop {op:?} #{k} jz {target:04}"),
+        MicroOp::LocalBinKJz { slot, op, k, target, .. } => {
+            format!("read_local {slot} binop {op:?} #{k} jz {target:04}")
+        }
+        MicroOp::ScalarBinKJz { res, op, k, target, .. } => {
+            format!("read {} binop {op:?} #{k} jz {target:04}", res_name(res))
+        }
         MicroOp::NormBool => "normbool".to_owned(),
         MicroOp::Builtin { f, .. } => format!("builtin {f:?}"),
         MicroOp::StoreLocal(s) => format!("store_local {s}"),

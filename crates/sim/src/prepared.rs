@@ -36,7 +36,7 @@ pub struct Prepared {
     shape: (usize, usize),
     decoder: Option<Arc<DecoderTables>>,
     lowered: OnceLock<Result<Arc<CompiledTables>, SimError>>,
-    unbound: OnceLock<Arc<[Arc<OpsRoutine>]>>,
+    unbound: OnceLock<Arc<[OpsRoutine]>>,
 }
 
 impl Prepared {
@@ -79,7 +79,7 @@ impl Prepared {
         model: &Model,
         state: &State,
         tables: &CompiledTables,
-    ) -> Arc<[Arc<OpsRoutine>]> {
+    ) -> Arc<[OpsRoutine]> {
         Arc::clone(self.unbound.get_or_init(|| translate_unbound(model, state, tables)))
     }
 

@@ -15,9 +15,10 @@
 
 use std::sync::Arc;
 
+use lisa_core::model::{OpId, PipelineId};
 use lisa_isa::Decoded;
 
-use crate::engine::{Pending, PipeState, SimMode, Simulator};
+use crate::engine::{ExecItem, Pending, PipeState, SimMode, Simulator};
 use crate::fasthash::FastMap;
 use crate::{SimError, SimStats, State};
 
@@ -56,7 +57,7 @@ use crate::{SimError, SimStats, State};
 pub struct Snapshot {
     pub(crate) state: State,
     pub(crate) pipes: Vec<PipeState>,
-    pub(crate) pending: Vec<Pending>,
+    pub(crate) pending: Vec<SavedPending>,
     pub(crate) stats: SimStats,
     pub(crate) seq: u64,
     pub(crate) mode: SimMode,
@@ -72,6 +73,18 @@ impl std::fmt::Debug for Snapshot {
             .field("decode_cache", &self.decode_cache.len())
             .finish_non_exhaustive()
     }
+}
+
+/// An in-flight activation as a snapshot keeps it: the binding itself
+/// rather than a handle into one simulator's tables, so it restores into
+/// a simulator of any mode.
+#[derive(Debug, Clone)]
+pub(crate) struct SavedPending {
+    op: OpId,
+    decoded: Option<Arc<Decoded>>,
+    pipe: Option<(PipelineId, usize)>,
+    remaining: u32,
+    seq: u64,
 }
 
 impl Snapshot {
@@ -122,7 +135,7 @@ impl<'m> Simulator<'m> {
         Snapshot {
             state: self.state.clone(),
             pipes: self.pipes.clone(),
-            pending: self.pending.clone(),
+            pending: self.save_pending(),
             stats: self.stats,
             seq: self.seq,
             mode: self.mode,
@@ -154,13 +167,14 @@ impl<'m> Simulator<'m> {
         }
         self.state = snapshot.state.clone();
         self.pipes = snapshot.pipes.clone();
-        self.pending = snapshot.pending.clone();
         self.stats = snapshot.stats;
         self.seq = snapshot.seq;
         self.decode_cache = snapshot.decode_cache.clone();
-        // Instance routines are keyed by decode-cache pointer identity;
-        // the restored cache invalidates them (retranslated on demand).
-        self.ops_invalidate();
+        // Handles of the replaced schedule die with it; word routines
+        // belong to the replaced decode cache (retranslated on demand).
+        self.parked.clear();
+        self.ops_clear();
+        self.pending = self.load_pending(&snapshot.pending);
         if let Some(obs) = self.observer.as_mut() {
             if let Some(sink) = obs.sink.as_mut() {
                 sink.clear();
@@ -171,6 +185,41 @@ impl<'m> Simulator<'m> {
             }
         }
         Ok(())
+    }
+
+    /// The schedule with its bindings resolved.
+    fn save_pending(&self) -> Vec<SavedPending> {
+        self.pending
+            .iter()
+            .map(|p| SavedPending {
+                op: p.item.op,
+                decoded: self.bound(p.item.bind),
+                pipe: p.pipe,
+                remaining: p.remaining,
+                seq: p.seq,
+            })
+            .collect()
+    }
+
+    /// A saved schedule with its bindings handed to this simulator.
+    fn load_pending(&mut self, saved: &[SavedPending]) -> Vec<Pending> {
+        saved
+            .iter()
+            .map(|s| Pending {
+                item: ExecItem { op: s.op, bind: self.bind(s.decoded.clone()) },
+                pipe: s.pipe,
+                remaining: s.remaining,
+                seq: s.seq,
+            })
+            .collect()
+    }
+
+    /// Rebuilds the ops code tables from scratch, re-interning the
+    /// bindings of in-flight activations.
+    pub(crate) fn ops_reset(&mut self) {
+        let saved = self.save_pending();
+        self.ops_clear();
+        self.pending = self.load_pending(&saved);
     }
 }
 
